@@ -157,6 +157,57 @@ class ChannelProcess:
             if end == math.inf:
                 return
 
+    def _extend_batch(self, t: float) -> None:
+        """`_extend(t)` drawing its holding times in batches.
+
+        `exponential(scale)` is `scale * standard_exponential()`, so one batch
+        of standard variates times the alternating 1/rate scales, summed in
+        order, appends exactly the ends the scalar draws would. A batch that
+        holds a non-positive duration is replayed one variate at a time, so
+        the redraw takes the next variate at the same scale. Both rates must
+        be positive; an absorbing state goes through `_extend`.
+        """
+        scales = (1.0 / self.rates.lambda_y, 1.0 / self.rates.lambda_x)  # OFF, ON
+        ends = self._ends
+        while not ends or ends[-1] <= t:
+            start = ends[-1] if ends else 0.0
+            # OFF/ON pairs enough to pass t with a wide margin
+            pairs = int((t - start) / (scales[0] + scales[1]) * 1.25) + 8
+            draws = self._rng.standard_exponential(2 * pairs)
+            parity = len(ends) % 2
+            durations = (draws.reshape(pairs, 2) * (scales[parity], scales[1 - parity])).ravel()
+            if durations.min() > 0.0:
+                durations[0] += start
+                ends.extend(np.cumsum(durations).tolist())
+                continue
+            for x in draws.tolist():
+                d = x * scales[len(ends) % 2]
+                if d > 0.0:
+                    ends.append((ends[-1] if ends else 0.0) + d)
+
+    def busy_at(self, times: np.ndarray) -> np.ndarray:
+        """Busy bits at the ascending, nonnegative instants `times`.
+
+        Equals `is_busy(t)` for each t. The trace is extended in batches,
+        which may draw past the last instant asked for; the stream is private
+        to this channel, so drawing ahead changes nothing the trace holds.
+        """
+        if len(times) == 0 or times[0] < 0:
+            raise InvalidParameterError("times must be nonempty and nonnegative")
+        if self.rates.lambda_y == 0.0:
+            return np.zeros(len(times), dtype=bool)
+        first, last = float(times[0]), float(times[-1])
+        if self.rates.lambda_x == 0.0:
+            self._extend(last)
+        else:
+            self._extend_batch(last)
+        ends = self._ends
+        lo = bisect_right(ends, first)
+        hi = bisect_right(ends, last, lo) + 1
+        window = np.fromiter(ends[lo:hi], dtype=float, count=min(hi, len(ends)) - lo)
+        # interval index = lo + position in window; odd indices are ON
+        return (np.searchsorted(window, times, side="right") & 1) != (lo & 1)
+
     def is_busy(self, t: float) -> bool:
         """True iff t falls inside an ON interval."""
         if t < 0:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 
@@ -15,7 +14,9 @@ from .experiment import (
     check_table1,
     config_from_mapping,
     load_rates_file,
+    parse_area,
     parse_config_file,
+    parse_emca_window,
     run_sweep,
 )
 from .seeding import derive_run_seed
@@ -59,12 +60,11 @@ def _scenario_from_args(args) -> Scenario:
         handshake=args.handshake,
         max_slots=args.max_slots,
         completion_mode=args.completion_mode,
-        emca_window=math.inf if args.emca_window == "inf" else float(args.emca_window),
+        emca_window=parse_emca_window(args.emca_window),
         share_unconfirmed_links=args.share_unconfirmed,
     )
     if args.area is not None:
-        w, h = args.area.lower().split("x")
-        kwargs["area"] = (float(w), float(h))
+        kwargs["area"] = parse_area(args.area)
     if args.radio_range is not None:
         kwargs["radio_range"] = args.radio_range
     if args.rates is not None:

@@ -18,17 +18,36 @@ Time advances in synchronized 1-second slots, each split into two half-slots
 7. nodes whose tables now cover all N-1 peers record their time to
    rendezvous, in half-slots, and drop to responder-only behavior.
 
+The loop runs in blocks of half-slots. At the start of a block every node
+that is not silent hands over its channels for the whole block
+(`strategy.hops`) and every channel its busy bits at the block's half-slot
+instants (`ChannelProcess.busy_at`). The procedure above then runs only on
+the half-slots where two idle, non-silent nodes share a channel (on every
+half-slot when tracing). On the others nothing can happen but lone D-REQs
+from incomplete nodes on idle channels, which are counted from the block
+arrays. Blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS.
+
 A run is deterministic given (scenario, seed): all randomness flows through
 labeled substreams of the run seed, and environment streams (topology,
 channel assignment, channel occupancy) use labels that do not involve the
-protocol or handshake, so paired runs share their environment.
+protocol or handshake, so paired runs share their environment. Blocks draw
+ahead of what a run may use, which cannot change a record: each node's
+strategy stream and each channel's occupancy stream is private to it, so a
+draw nobody reads affects nothing else, and silence is permanent, so a node
+that falls silent mid-block never needs the channels drawn past that point.
+Elections keep their own stream and are drawn in ascending channel order,
+then cluster order, exactly as when every half-slot is stepped in turn.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from .activity import ACTIVITY_CLASSES, OFF, ON, ChannelProcess, make_profile
 from .errors import InvalidParameterError
@@ -50,6 +69,12 @@ COMPLETION_MODES = ("active", "responder-only", "silent")
 # up to ~20 nodes at 100 m range; see generate_topology's attempt budget.
 DEFAULT_AREA = (400.0, 400.0)
 DEFAULT_RANGE = 100.0
+
+# Slots per block of precomputed hops and occupancy. The first block is
+# short because many runs end within a hundred half-slots; later blocks
+# double up to the cap, which bounds the block arrays' memory.
+FIRST_BLOCK_SLOTS = 64
+MAX_BLOCK_SLOTS = 256
 
 
 @dataclass(frozen=True)
@@ -268,33 +293,35 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
     def may_initiate(nd: _Node) -> bool:
         if scenario.completion_mode == "active":
             return True
-        return (not nd.complete) or bool(nd.tables.unconfirmed())
+        return (not nd.complete) or not nd.tables.dnl <= nd.tables.confirmed
 
-    def cluster_round(cluster_ids: list[int], channel: int, slot: int, half: int) -> None:
+    def cluster_round(cluster_ids: list[int], channel: int, slot: int, half: int) -> tuple[_Node, ...]:
+        """One cluster's half-slot; returns the nodes whose tables it changed."""
         nonlocal packets, rendezvous
         members = [by_id[i] for i in cluster_ids]
         eligible = [nd.node_id for nd in members if may_initiate(nd)]
         if not eligible:
-            return
+            return ()
         if len(members) == 1:
             lone = members[0]
             if not lone.complete:
                 packets += 1
                 if rows is not None:
                     rows.append((slot, half, channel, D_REQ, lone.node_id, None, OFF))
-            return
+            return ()
         init = by_id[election("initiator", eligible)]
         in_range = [i for i in cluster_ids if topology.adjacent(init.node_id, i)]
         # Responder preference: peers never heard of, then direct links still
         # awaiting confirmation, then peers known only indirectly, then
         # confirmed links. The unconfirmed tier is what sends a two-way
         # handshake's responder back toward that neighbor at later meetings.
-        knowledge = init.tables.knowledge()
-        unknown = [i for i in in_range if i not in knowledge]
-        unconfirmed = [i for i in in_range if i in init.tables.dnl and i not in init.tables.confirmed]
-        indirect = [i for i in in_range if i in init.tables.inl]
-        confirmed = [i for i in in_range if i in init.tables.confirmed]
-        tier = unknown or unconfirmed or indirect or confirmed
+        dnl, inl, confirmed = init.tables.dnl, init.tables.inl, init.tables.confirmed
+        tier = (
+            [i for i in in_range if i not in dnl and i not in inl]
+            or [i for i in in_range if i in dnl and i not in confirmed]
+            or [i for i in in_range if i in inl]
+            or [i for i in in_range if i in confirmed]
+        )
         responder = by_id[election("responder", tier)]
         transcript = run_handshake(
             scenario.handshake, init.tables, responder.tables, scenario.share_unconfirmed_links
@@ -307,36 +334,71 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
         if rows is not None:
             for kind, s, r in transcript.messages:
                 rows.append((slot, half, channel, kind, s, r, OFF))
+        return init, responder
 
-    if not all(nd.complete for nd in nodes):
-        done = False
-        for slot in range(1, scenario.max_slots + 1):
-            for half in (1, 2):
-                t = (slot - 1) + (0.0 if half == 1 else 0.5)
-                tuned: dict[int, list[int]] = {}
-                for nd in nodes:  # id order keeps stream consumption stable
-                    if is_silent(nd, slot):
-                        continue
-                    tuned.setdefault(nd.strategy.select(half), []).append(nd.node_id)
-                for channel in sorted(tuned):
-                    busy = processes[channel].is_busy(t)
-                    if rows is not None:
-                        for i in tuned[channel]:
-                            rows.append((slot, half, channel, "TUNE", i, None, ON if busy else OFF))
-                    if busy:
-                        continue  # sensing gate: nobody transmits this half-slot
-                    for cluster_ids in _clusters(tuned[channel], topology):
-                        cluster_round(cluster_ids, channel, slot, half)
-                for nd in nodes:
-                    if not nd.complete and len(nd.tables.knowledge()) == n - 1:
-                        nd.complete = True
-                        nd.completion_slot = slot
-                        nd.ttr = 2 * slot - (1 if half == 1 else 0)
-                if all(nd.complete for nd in nodes):
-                    done = True
-                    break
-            if done:
+    incomplete = {nd.node_id for nd in nodes if not nd.complete}
+    block_slots = FIRST_BLOCK_SLOTS
+    slot0 = 1  # first slot of the block
+    while incomplete and slot0 <= scenario.max_slots:
+        slots = min(block_slots, scenario.max_slots - slot0 + 1)
+        block_slots = min(2 * block_slots, MAX_BLOCK_SLOTS)
+        width = 2 * slots  # half-slots in the block
+        span = np.arange(width)
+        live = [nd for nd in nodes if not is_silent(nd, slot0)]  # id order
+        hops = np.array([nd.strategy.hops(slots) for nd in live])
+        times = (2 * (slot0 - 1) + span) * 0.5
+        busy = np.zeros((len(processes) + 1, width), dtype=bool)  # row 0 unused
+        for channel, process in processes.items():
+            busy[channel] = process.busy_at(times)
+        idle = ~busy[hops, span]
+        if rows is None:
+            # A half-slot needs the full procedure only where two idle live
+            # nodes share a channel; everywhere else each idle node is alone,
+            # and nodes on busy channels do nothing.
+            listeners = np.bincount((hops * width + span)[idle], minlength=busy.size)
+            visit = (listeners.reshape(busy.shape) > 1).any(axis=0)
+            heard = idle & visit
+        else:
+            visit = np.ones(width, dtype=bool)
+            heard = np.ones_like(idle)
+        lone = idle & ~visit  # where a live node sends a lone D-REQ, if incomplete
+        stops = {}  # node id -> half-slots of the block it spent incomplete
+        # (half-slot, live row) pairs the visits read, in half-slot then id order
+        at, who = np.nonzero(heard.T)
+        tunings = zip(at.tolist(), who.tolist(), hops[who, at].tolist(), idle[who, at].tolist())
+        for k, group in itertools.groupby(tunings, key=itemgetter(0)):
+            slot = slot0 + k // 2
+            half = 1 + k % 2
+            tuned: dict[int, list[int]] = {}
+            channel_idle = {}
+            for _, row, channel, free in group:
+                nd = live[row]
+                if not is_silent(nd, slot):
+                    tuned.setdefault(channel, []).append(nd.node_id)
+                    channel_idle[channel] = free
+            touched: list[_Node] = []
+            for channel in sorted(tuned):
+                if rows is not None:
+                    state = OFF if channel_idle[channel] else ON
+                    rows.extend((slot, half, channel, "TUNE", i, None, state) for i in tuned[channel])
+                if not channel_idle[channel]:
+                    continue  # sensing gate: nobody transmits this half-slot
+                for cluster_ids in _clusters(tuned[channel], topology):
+                    touched.extend(cluster_round(cluster_ids, channel, slot, half))
+            for nd in touched:
+                if not nd.complete and len(nd.tables.dnl) + len(nd.tables.inl) == n - 1:
+                    nd.complete = True
+                    nd.completion_slot = slot
+                    nd.ttr = 2 * slot - (1 if half == 1 else 0)
+                    incomplete.discard(nd.node_id)
+                    stops[nd.node_id] = k
+            if not incomplete:
                 break
+        for row, nd in enumerate(live):
+            stop = stops.get(nd.node_id, width if nd.node_id in incomplete else 0)
+            if stop:
+                packets += int(np.count_nonzero(lone[row, :stop]))
+        slot0 += slots
 
     ttrs = []
     censored = []
@@ -348,7 +410,10 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
             ttrs.append(2 * scenario.max_slots)
             censored.append(True)
 
-    assert packets >= HANDSHAKE_SIZES[scenario.handshake] * rendezvous
+    if packets < HANDSHAKE_SIZES[scenario.handshake] * rendezvous:
+        raise RuntimeError(
+            f"{packets} packets cannot carry {rendezvous} {scenario.handshake} rendezvous"
+        )
     return RunRecord(
         node_count=n,
         handshake=scenario.handshake,

@@ -192,6 +192,34 @@ def summary_payload(config: SweepConfig, results, failures) -> dict:
     }
 
 
+def parse_area(text: str) -> tuple[float, float]:
+    """Area side lengths from 'WxH' text, in meters."""
+    try:
+        width, height = text.lower().split("x")
+        return float(width), float(height)
+    except ValueError:
+        raise InvalidParameterError(f"area must be WxH in meters, e.g. 400x400, got {text!r}") from None
+
+
+def parse_emca_window(text: str) -> float:
+    """memca response window in slots; 'inf' or empty text means unbounded."""
+    if text in ("inf", ""):
+        return math.inf
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidParameterError(f"emca_window must be a number or inf, got {text!r}") from None
+
+
+def worker_count() -> int:
+    """Sweep worker processes, from the CRHOP_WORKERS environment variable (default 1)."""
+    text = os.environ.get(WORKERS_ENV_VAR, "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {text!r}") from None
+
+
 def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
     """Run every cell and write data.csv + summary.json under out_dir.
 
@@ -201,7 +229,7 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
     """
     config.validate()
     tasks = [(sc, config.runs, config.base_seed) for sc in cells(config)]
-    workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+    workers = worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell_task, tasks))
@@ -344,14 +372,13 @@ def config_from_mapping(mapping: dict[str, str], base: SweepConfig | None = None
         elif key == "per_node_size":
             updates[key] = None if value in ("", "none") else int(value)
         elif key == "area":
-            w, h = value.lower().split("x")
-            updates[key] = (float(w), float(h))
+            updates[key] = parse_area(value)
         elif key == "radio_range":
             updates[key] = float(value)
         elif key == "completion_mode":
             updates[key] = value
         elif key == "emca_window":
-            updates[key] = math.inf if value in ("inf", "") else float(value)
+            updates[key] = parse_emca_window(value)
         elif key == "share_unconfirmed_links":
             updates[key] = value.lower() in ("1", "true", "yes", "on")
         elif key == "rates_file":

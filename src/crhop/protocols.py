@@ -5,6 +5,14 @@ first half-slot and `select(2)` for the second, called in that order every
 slot. The dual-clock strategy hops its prime channels in the first half and
 its non-prime channels in the second; the baselines advance a single clock
 once per half-slot over the full available set.
+
+`hops(slots)` returns the channels of the next `slots` whole slots at once,
+in half-slot order, and leaves the strategy in the state that `slots` rounds
+of `select(1)`, `select(2)` would: same channels, same stream consumption.
+A modular clock is affine within a rate epoch, so a block is a cumulative
+sum over rates repeated per epoch. Batched `integers(bound, size=k)` draws
+equal k scalar draws on the same stream. `select` stays as the sequential
+reference the block form is tested against.
 """
 
 from __future__ import annotations
@@ -15,6 +23,22 @@ from .errors import InvalidParameterError, NoChannelError
 from .spectrum import is_prime, partition_prime
 
 STRATEGY_KINDS = ("mdmca", "mrcs", "mmca", "memca")
+
+
+def _epoch_rates(current, first: int, period: int, count: int, draw) -> np.ndarray:
+    """Per-step rates of the next `count` clock steps, as a new array.
+
+    The current rate holds for the `first` steps before the next redraw, then
+    `draw(k)` supplies k fresh rates, each held for `period` steps. `draw`
+    returns an array of shape (k, ...) and `current` matches its trailing
+    shape.
+    """
+    held = np.full((min(first, count), *np.shape(current)), current)
+    if first >= count:
+        return held
+    k = (count - first - 1) // period + 1
+    fresh = np.repeat(draw(k), period, axis=0)[: count - first]
+    return np.concatenate((held, fresh)) if first else fresh
 
 
 def smallest_prime_at_least(n: int) -> int:
@@ -71,6 +95,29 @@ class MdmcaStrategy:
         self.t = (self.t + 1) % self.m
         return c2
 
+    def hops(self, slots: int) -> np.ndarray:
+        """Channels of the next `slots` slots, both halves of each, in order."""
+        if not (self.mp and self.np_):
+            # Either list empty: the halves can collide, and the nudge that
+            # resolves a collision moves clock 2 for every later slot.
+            return np.array([self.select(half) for _ in range(slots) for half in (1, 2)])
+        m = self.m
+        clocks = _epoch_rates(
+            (self.r1, self.r2), (-self.t) % m, m, slots,
+            lambda k: self._rng.integers(m, size=(k, 2)),
+        )
+        self.r1, self.r2 = clocks[-1].tolist()
+        np.cumsum(clocks, axis=0, out=clocks)
+        clocks += (self.j1, self.j2)
+        clocks %= m
+        self.j1, self.j2 = clocks[-1].tolist()
+        self.t = (self.t + slots) % m
+        # clock value -> channel, per half: row 0 prime list, row 1 non-prime
+        cycled = np.array([(lst * (m // len(lst) + 1))[:m] for lst in (self.mp, self.np_)])
+        out = cycled[(0, 1), clocks]
+        self._c1 = int(out[-1, 0])
+        return out.ravel()
+
 
 class MrcsStrategy:
     """Uniform random pick from the available set, independent per half-slot."""
@@ -85,6 +132,10 @@ class MrcsStrategy:
 
     def select(self, half: int) -> int:
         return self.cu[int(self._rng.integers(len(self.cu)))]
+
+    def hops(self, slots: int) -> np.ndarray:
+        """Channels of the next `slots` slots, both halves of each, in order."""
+        return np.array(self.cu)[self._rng.integers(len(self.cu), size=2 * slots)]
 
 
 class MmcaStrategy:
@@ -114,6 +165,21 @@ class MmcaStrategy:
         self._steps = (self._steps + 1) % (2 * self.p)
         self.j = (self.j + self.r) % self.p
         return self.cu[self.j if self.j < self.m else self.j % self.m]
+
+    def hops(self, slots: int) -> np.ndarray:
+        """Channels of the next `slots` slots, both halves of each, in order."""
+        period = 2 * self.p
+        clock = _epoch_rates(
+            self.r, (-self._steps) % period, period, 2 * slots,
+            lambda k: self._rng.integers(self.p, size=k),
+        )
+        self.r = int(clock[-1])
+        np.cumsum(clock, out=clock)
+        clock += self.j
+        clock %= self.p
+        self.j = int(clock[-1])
+        self._steps = (self._steps + 2 * slots) % period
+        return np.array(self.cu)[clock % self.m]
 
 
 class MemcaStrategy(MmcaStrategy):

@@ -202,3 +202,91 @@ class TestChannelProcess:
         first = proc.sample_intervals(30.0)
         second = proc.sample_intervals(90.0)
         assert second[: len(first) - 1] == first[:-1]
+
+
+class VariateStub:
+    """Generator stand-in replaying fixed standard-exponential variates.
+
+    Serves both the scalar `exponential(scale)` and the batched
+    `standard_exponential(size)` draws; after the head runs out, every
+    variate is 1.0.
+    """
+
+    def __init__(self, head):
+        self._head = list(head)
+
+    def _next(self):
+        return self._head.pop(0) if self._head else 1.0
+
+    def exponential(self, scale):
+        return scale * self._next()
+
+    def standard_exponential(self, size):
+        return np.array([self._next() for _ in range(size)])
+
+
+class TestBusyBlocks:
+    """busy_at(times) must equal is_busy(t) at every instant, block after block."""
+
+    RATES = (
+        ActivityRates(1000.0, 0.0),  # zero class: never busy
+        CH2,
+        ActivityRates(0.25, 0.25),
+        CH4,  # high
+        ActivityRates(0.5, 40.0),  # very high: many short intervals
+        ActivityRates(0.0, 0.5),  # absorbing: busy for good once ON
+        ActivityRates(0.0, 1e-3),  # absorbing, usually beyond the horizon
+    )
+
+    @staticmethod
+    def check(rates, rng_a, rng_b, widths):
+        ref = ChannelProcess(1, rates, rng_a)
+        blk = ChannelProcess(1, rates, rng_b)
+        start = 0
+        for width in widths:
+            times = np.arange(start, start + width) * 0.5
+            got = blk.busy_at(times)
+            assert got.dtype == bool and got.shape == (width,)
+            assert got.tolist() == [ref.is_busy(float(t)) for t in times]
+            start += width
+        shared = min(len(ref._ends), len(blk._ends))
+        assert blk._ends[:shared] == ref._ends[:shared]
+
+    @pytest.mark.parametrize("rates", RATES, ids=repr)
+    def test_half_slot_blocks_match_is_busy(self, rates):
+        for seed in range(8):
+            self.check(rates, np.random.default_rng(seed), np.random.default_rng(seed),
+                       (128, 256, 512, 512, 3, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lx=st.floats(min_value=0.01, max_value=50.0),
+        ly=st.floats(min_value=0.01, max_value=50.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        widths=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=4),
+    )
+    def test_random_rates_match_is_busy(self, lx, ly, seed, widths):
+        self.check(ActivityRates(lx, ly), np.random.default_rng(seed),
+                   np.random.default_rng(seed), widths)
+
+    def test_zero_draw_is_redrawn_at_the_same_scale(self):
+        # The second holding time (ON, scale 1/lambda_x) first draws 0.0;
+        # the redraw takes the next variate, 0.5, still at the ON scale, and
+        # the third (OFF) interval then takes 0.25 at the OFF scale.
+        rates = ActivityRates(2.0, 4.0)
+        head = [1.0, 0.0, 0.5, 0.25]
+        want = [1.0 / 4.0, 1.0 / 4.0 + 0.5 / 2.0, 1.0 / 4.0 + 0.5 / 2.0 + 0.25 / 4.0]
+        ref = ChannelProcess(1, rates, VariateStub(head))
+        ref.is_busy(0.55)
+        assert ref._ends[:3] == want
+        self.check(rates, VariateStub(head), VariateStub(head), (1, 2, 16))
+        blk = ChannelProcess(1, rates, VariateStub(head))
+        blk.busy_at(np.array([0.0, 0.5]))
+        assert blk._ends[:3] == want
+
+    def test_times_must_be_nonempty_and_nonnegative(self):
+        proc = ChannelProcess(4, CH4, np.random.default_rng(2))
+        with pytest.raises(InvalidParameterError):
+            proc.busy_at(np.array([]))
+        with pytest.raises(InvalidParameterError):
+            proc.busy_at(np.array([-0.5, 0.0]))

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from crhop.cli import main
 
 
@@ -67,3 +69,18 @@ def test_invalid_arguments_return_error(capsys, tmp_path):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--area", "400"], ["--emca-window", "abc"]])
+def test_malformed_scenario_flag_exits_2(flags, capsys, tmp_path):
+    code = main(["run", "--nodes", "3", "--runs", "1", *flags, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_worker_count_exits_2(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("CRHOP_WORKERS", "x")
+    code = main(["run", "--nodes", "3", "--runs", "1", "--max-slots", "50",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "CRHOP_WORKERS" in capsys.readouterr().err

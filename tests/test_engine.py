@@ -266,3 +266,14 @@ def test_packets_never_below_handshake_floor():
         record = run(sc, seed)
         if record.rendezvous:
             assert record.packets / record.rendezvous >= 2
+
+
+def test_packet_floor_violation_raises_even_without_asserts(monkeypatch):
+    # An explicit check, not an assert, so `python -O` keeps it: a handshake
+    # that transmits nothing breaks packets >= size * rendezvous.
+    import crhop.engine
+    from crhop.handshake import Transcript
+
+    monkeypatch.setattr(crhop.engine, "run_handshake", lambda *args: Transcript(()))
+    with pytest.raises(RuntimeError, match="packets cannot carry"):
+        run(pair_scenario("3wh", max_slots=5), 1)

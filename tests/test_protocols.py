@@ -225,3 +225,61 @@ def test_make_strategy_dispatch():
     assert make_strategy("memca", [1, 2], rng).kind == "memca"
     with pytest.raises(InvalidParameterError):
         make_strategy("jumpstay", [1, 2], rng)
+
+
+def select_reference(strat, slots):
+    """`slots` rounds of select(1), select(2): the sequential form of hops()."""
+    return [strat.select(half) for _ in range(slots) for half in (1, 2)]
+
+
+class TestHopBlocks:
+    """hops(slots) must equal repeated select() and consume the stream alike."""
+
+    CHANNEL_SETS = (
+        (2, 3, 5, 7),  # primes only: mdmca's non-prime list is empty
+        (1, 4, 6, 8, 9),  # non-primes only: mdmca's prime list is empty
+        (7,),  # m = 1 with an empty non-prime list
+        (1,),  # m = 1 with an empty prime list
+        (1, 2, 3, 4),  # mmca: p = 5 > m
+        tuple(range(1, 9)),  # mmca: p = 11 > m
+        tuple(range(1, 12)),  # mmca: p = m = 11
+        tuple(range(1, 21)),
+    )
+
+    def check(self, kind, cu, seed, blocks):
+        ref = make_strategy(kind, cu, np.random.default_rng(seed))
+        blk = make_strategy(kind, cu, np.random.default_rng(seed))
+        for slots in blocks:
+            got = blk.hops(slots)
+            assert got.shape == (2 * slots,)
+            assert got.tolist() == select_reference(ref, slots)
+        # Same stream position: the next draws agree, and so does the next
+        # half-slot pair taken one select at a time.
+        assert select_reference(blk, 3) == select_reference(ref, 3)
+        assert int(blk._rng.integers(2**31)) == int(ref._rng.integers(2**31))
+
+    @pytest.mark.parametrize("kind", ["mdmca", "mrcs", "mmca", "memca"])
+    @pytest.mark.parametrize("cu", CHANNEL_SETS)
+    def test_fixed_sets_match_select(self, kind, cu):
+        for seed in range(5):
+            self.check(kind, cu, seed, (1, 2, 7, 32, 64, 128))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["mdmca", "mrcs", "mmca", "memca"]),
+        cu=st.sets(st.integers(min_value=1, max_value=24), min_size=1, max_size=24),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        blocks=st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=4),
+    )
+    def test_random_sets_match_select(self, kind, cu, seed, blocks):
+        self.check(kind, sorted(cu), seed, blocks)
+
+    def test_blocks_interleave_with_select(self):
+        for kind in ("mdmca", "mrcs", "mmca"):
+            ref = make_strategy(kind, range(1, 11), np.random.default_rng(9))
+            mixed = make_strategy(kind, range(1, 11), np.random.default_rng(9))
+            got = []
+            for slots in (3, 10, 1, 25):
+                got += mixed.hops(slots).tolist()
+                got += select_reference(mixed, slots)
+            assert got == select_reference(ref, 78)
