@@ -204,7 +204,7 @@ class ChannelProcess:
         ends = self._ends
         lo = bisect_right(ends, first)
         hi = bisect_right(ends, last, lo) + 1
-        window = np.fromiter(ends[lo:hi], dtype=float, count=min(hi, len(ends)) - lo)
+        window = np.fromiter(ends[lo:hi], dtype=float, count=hi - lo)
         # interval index = lo + position in window; odd indices are ON
         return (np.searchsorted(window, times, side="right") & 1) != (lo & 1)
 

@@ -211,15 +211,6 @@ def parse_emca_window(text: str) -> float:
         raise InvalidParameterError(f"emca_window must be a number or inf, got {text!r}") from None
 
 
-def worker_count() -> int:
-    """Sweep worker processes, from the CRHOP_WORKERS environment variable (default 1)."""
-    text = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {text!r}") from None
-
-
 def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
     """Run every cell and write data.csv + summary.json under out_dir.
 
@@ -229,7 +220,11 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
     """
     config.validate()
     tasks = [(sc, config.runs, config.base_seed) for sc in cells(config)]
-    workers = worker_count()
+    text = os.environ.get(WORKERS_ENV_VAR, "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise InvalidParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {text!r}") from None
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell_task, tasks))

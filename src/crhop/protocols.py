@@ -26,7 +26,7 @@ STRATEGY_KINDS = ("mdmca", "mrcs", "mmca", "memca")
 
 
 def _epoch_rates(current, first: int, period: int, count: int, draw) -> np.ndarray:
-    """Per-step rates of the next `count` clock steps, as a new array.
+    """Per-step rates of the next `count` clock steps.
 
     The current rate holds for the `first` steps before the next redraw, then
     `draw(k)` supplies k fresh rates, each held for `period` steps. `draw`
@@ -102,14 +102,12 @@ class MdmcaStrategy:
             # resolves a collision moves clock 2 for every later slot.
             return np.array([self.select(half) for _ in range(slots) for half in (1, 2)])
         m = self.m
-        clocks = _epoch_rates(
+        rates = _epoch_rates(
             (self.r1, self.r2), (-self.t) % m, m, slots,
             lambda k: self._rng.integers(m, size=(k, 2)),
         )
-        self.r1, self.r2 = clocks[-1].tolist()
-        np.cumsum(clocks, axis=0, out=clocks)
-        clocks += (self.j1, self.j2)
-        clocks %= m
+        clocks = (np.cumsum(rates, axis=0) + (self.j1, self.j2)) % m
+        self.r1, self.r2 = rates[-1].tolist()
         self.j1, self.j2 = clocks[-1].tolist()
         self.t = (self.t + slots) % m
         # clock value -> channel, per half: row 0 prime list, row 1 non-prime
@@ -169,14 +167,12 @@ class MmcaStrategy:
     def hops(self, slots: int) -> np.ndarray:
         """Channels of the next `slots` slots, both halves of each, in order."""
         period = 2 * self.p
-        clock = _epoch_rates(
+        rates = _epoch_rates(
             self.r, (-self._steps) % period, period, 2 * slots,
             lambda k: self._rng.integers(self.p, size=k),
         )
-        self.r = int(clock[-1])
-        np.cumsum(clock, out=clock)
-        clock += self.j
-        clock %= self.p
+        clock = (np.cumsum(rates) + self.j) % self.p
+        self.r = int(rates[-1])
         self.j = int(clock[-1])
         self._steps = (self._steps + 2 * slots) % period
         return np.array(self.cu)[clock % self.m]
