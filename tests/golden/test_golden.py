@@ -10,6 +10,12 @@ activity class, every completion mode, a finite memca window, shared
 unconfirmed links, traces, explicit positions, a rate table with an
 absorbing channel, censored runs and single-node runs.
 
+`sweep_digests.json` does the same for the two files a sweep writes,
+`data.csv` and `summary.json`, over a few small multi-axis sweeps: both
+spectrum modes, several activities, area and range overrides, a finite memca
+window, shared unconfirmed links, silent completion and censored cells. The
+configuration echo in `summary.json` is part of what they pin.
+
 Re-record (only when a change of results is intended):
 
     PYTHONPATH=src python tests/golden/test_golden.py --record
@@ -21,13 +27,17 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from crhop.engine import Scenario, run
+from crhop.experiment import SweepConfig, run_sweep
 
 DIGESTS = Path(__file__).with_name("digests.json")
+SWEEP_DIGESTS = Path(__file__).with_name("sweep_digests.json")
+SWEEP_FILES = ("data.csv", "summary.json")
 
 SMALL_AREA = (200.0, 200.0)
 CHAIN4 = ((0.0, 0.0), (90.0, 0.0), (180.0, 0.0), (270.0, 0.0))
@@ -94,6 +104,31 @@ CASES = [
 ]
 
 
+SWEEPS = {
+    "modes-activities": SweepConfig(
+        protocols=("mdmca", "memca"), handshakes=("2wh", "3wh"), nodes=(3, 5),
+        channels=(6,), modes=("sym", 2), activities=("zero", "high"), runs=2,
+        base_seed=31, max_slots=2_000, area=SMALL_AREA,
+    ),
+    "window-unconfirmed": SweepConfig(
+        protocols=("memca", "mmca"), handshakes=("2wh",), nodes=(4,), channels=(5, 8),
+        modes=("sym", 3), activities=("mix", "low"), runs=2, base_seed=32,
+        max_slots=2_000, radio_range=120.0, per_node_size=4, emca_window=3.0,
+        share_unconfirmed_links=True,
+    ),
+    "silent": SweepConfig(
+        protocols=("mdmca", "mrcs"), handshakes=("2wh", "3wh"), nodes=(3, 6),
+        channels=(4,), modes=("sym",), activities=("long", "zero"), runs=2,
+        base_seed=33, max_slots=2_000, area=(150.0, 150.0), completion_mode="silent",
+    ),
+    "censored": SweepConfig(
+        protocols=("mdmca", "mrcs", "mmca", "memca"), handshakes=("3wh",), nodes=(6,),
+        channels=(10,), modes=(1,), activities=("high",), runs=3, base_seed=34,
+        max_slots=3, area=SMALL_AREA, per_node_size=2,
+    ),
+}
+
+
 def record_digest(record) -> str:
     """SHA-256 of every RunRecord field, trace rows included.
 
@@ -109,6 +144,12 @@ def compute(case) -> str:
     return record_digest(run(scenario, seed, trace=trace))
 
 
+def sweep_digests(config, out_dir: Path) -> dict[str, str]:
+    """SHA-256 of every file a sweep writes, by file name."""
+    run_sweep(config, str(out_dir))
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in SWEEP_FILES}
+
+
 def test_case_names_are_unique():
     names = [c[0] for c in CASES]
     assert len(names) == len(set(names))
@@ -120,6 +161,13 @@ def test_record_matches_golden_digest(case):
     assert compute(case) == golden[case[0]]
 
 
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_files_match_golden_digests(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("CRHOP_WORKERS", raising=False)
+    golden = json.loads(SWEEP_DIGESTS.read_text("utf-8"))
+    assert sweep_digests(SWEEPS[name], tmp_path) == golden[name]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
@@ -128,3 +176,7 @@ if __name__ == "__main__":
         encoding="utf-8",
     )
     print(f"wrote {len(CASES)} digests to {DIGESTS}")
+    with tempfile.TemporaryDirectory() as tmp:
+        sweeps = {name: sweep_digests(config, Path(tmp) / name) for name, config in SWEEPS.items()}
+    SWEEP_DIGESTS.write_text(json.dumps(sweeps, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(sweeps)} sweep digests to {SWEEP_DIGESTS}")
