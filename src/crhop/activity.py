@@ -117,6 +117,11 @@ def make_profile(
     else:
         offset = _CLASS_CYCLE.index(activity)
         columns = rows[offset :: len(_CLASS_CYCLE)]
+        if not columns:
+            raise InvalidParameterError(
+                f"a {activity!r} profile needs a rates table of at least {offset + 1} rows, "
+                f"got {len(rows)}"
+            )
         picks = [columns[i % len(columns)] for i in range(channel_count)]
     return [ActivityRates(lx, ly) for lx, ly in picks]
 

@@ -6,96 +6,81 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields
 
-from .engine import Scenario, run
+from .activity import ACTIVITY_CLASSES
+from .engine import COMPLETION_MODES, Scenario, run
 from .errors import CrhopError
 from .experiment import (
-    SweepConfig,
+    CONFIG_KEYS,
+    cells,
     check_table1,
     config_from_mapping,
     load_rates_file,
+    one_cell_sweep,
     parse_area,
     parse_config_file,
     parse_emca_window,
     run_sweep,
 )
+from .handshake import HANDSHAKE_KINDS
+from .protocols import STRATEGY_KINDS
 from .seeding import derive_run_seed
 from .topology import load_positions
 
 TRACE_COLUMNS = ("slot", "half", "channel", "kind", "sender", "receiver", "pr")
 
+# Scenario flags whose text needs more than argparse's conversion. They are
+# parsed in _scenario_from_args rather than as argparse types, so that a bad
+# value reaches main as a CrhopError and exits 2 with a message.
+_FLAG_PARSERS = {
+    "area": parse_area,
+    "emca_window": parse_emca_window,
+    "rates_table": load_rates_file,
+    "positions": lambda path: tuple(load_positions(path)),
+}
+
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--protocol", default="mdmca", choices=["mdmca", "mrcs", "mmca", "memca"])
-    parser.add_argument("--handshake", default="3wh", choices=["2wh", "3wh"])
+    """One flag per Scenario field, stored under the field's name, plus --seed.
+
+    A flag left unset keeps the field's Scenario default.
+    """
+    parser.add_argument("--protocol", default="mdmca", choices=STRATEGY_KINDS)
+    parser.add_argument("--handshake", default="3wh", choices=HANDSHAKE_KINDS)
     parser.add_argument("--nodes", type=int, default=3)
     parser.add_argument("--channels", type=int, default=10)
     parser.add_argument("--mode", default="sym", choices=["sym", "asym"])
-    parser.add_argument("--m", type=int, default=None, help="similarity ratio for asym mode")
-    parser.add_argument("--k", type=int, default=None, help="per-node set size for asym mode")
-    parser.add_argument("--activity", default="zero", choices=["zero", "low", "long", "high", "mix"])
-    parser.add_argument("--max-slots", type=int, default=100_000)
-    parser.add_argument("--area", default=None, help="WxH in meters, e.g. 400x400")
-    parser.add_argument("--range", dest="radio_range", type=float, default=None)
-    parser.add_argument("--completion-mode", default="responder-only",
-                        choices=["active", "responder-only", "silent"])
-    parser.add_argument("--emca-window", default="inf",
-                        help="slots a completed memca node keeps responding")
-    parser.add_argument("--share-unconfirmed", action="store_true",
+    parser.add_argument("--m", type=int, help="similarity ratio for asym mode")
+    parser.add_argument("--k", dest="per_node_size", metavar="K", type=int,
+                        help="per-node set size for asym mode")
+    parser.add_argument("--activity", default="zero", choices=ACTIVITY_CLASSES)
+    parser.add_argument("--max-slots", type=int)
+    parser.add_argument("--area", help="WxH in meters, e.g. 400x400")
+    parser.add_argument("--range", dest="radio_range", type=float)
+    parser.add_argument("--completion-mode", choices=COMPLETION_MODES)
+    parser.add_argument("--emca-window", help="slots a completed memca node keeps responding")
+    parser.add_argument("--share-unconfirmed", dest="share_unconfirmed_links", action="store_true",
                         help="let nodes propagate direct links before confirming them")
-    parser.add_argument("--rates", default=None, help="JSON rates file overriding the built-in table")
-    parser.add_argument("--positions", default=None, help="'id x y' position file (skips random topology)")
+    parser.add_argument("--rates", dest="rates_table", metavar="RATES",
+                        help="JSON rates file overriding the built-in table")
+    parser.add_argument("--positions", help="'id x y' position file (skips random topology)")
     parser.add_argument("--seed", type=int, default=1)
 
 
 def _scenario_from_args(args) -> Scenario:
-    kwargs = dict(
-        nodes=args.nodes,
-        channels=args.channels,
-        mode=args.mode,
-        m=args.m,
-        per_node_size=args.k,
-        activity=args.activity,
-        protocol=args.protocol,
-        handshake=args.handshake,
-        max_slots=args.max_slots,
-        completion_mode=args.completion_mode,
-        emca_window=parse_emca_window(args.emca_window),
-        share_unconfirmed_links=args.share_unconfirmed,
-    )
-    if args.area is not None:
-        kwargs["area"] = parse_area(args.area)
-    if args.radio_range is not None:
-        kwargs["radio_range"] = args.radio_range
-    if args.rates is not None:
-        kwargs["rates_table"] = load_rates_file(args.rates)
-    if args.positions is not None:
-        kwargs["positions"] = tuple(load_positions(args.positions))
-    scenario = Scenario(**kwargs)
+    given = {f.name: getattr(args, f.name) for f in fields(Scenario)}
+    scenario = Scenario(**{
+        name: _FLAG_PARSERS[name](value) if name in _FLAG_PARSERS else value
+        for name, value in given.items()
+        if value is not None
+    })
     scenario.validate()
     return scenario
 
 
 def _cmd_run(args) -> int:
-    scenario = _scenario_from_args(args)
-    config = SweepConfig(
-        protocols=(scenario.protocol,),
-        handshakes=(scenario.handshake,),
-        nodes=(scenario.nodes,),
-        channels=(scenario.channels,),
-        modes=(("sym",) if scenario.mode == "sym" else (scenario.m,)),
-        activities=(scenario.activity,),
-        runs=args.runs,
-        base_seed=args.seed,
-        max_slots=scenario.max_slots,
-        area=scenario.area,
-        radio_range=scenario.radio_range,
-        per_node_size=scenario.per_node_size,
-        completion_mode=scenario.completion_mode,
-        emca_window=scenario.emca_window,
-        share_unconfirmed_links=scenario.share_unconfirmed_links,
-        rates_table=scenario.rates_table,
-    )
+    config = one_cell_sweep(_scenario_from_args(args), args.runs, args.seed)
     results = run_sweep(config, args.out)
     for res in results:
         ppr_text = "undefined" if res.ppr is None else f"{res.ppr:.3f}"
@@ -106,6 +91,7 @@ def _cmd_run(args) -> int:
             f"ppr={ppr_text}, censored={res.censored_nodes}"
         )
     if args.trace:
+        (scenario,) = cells(config)
         env_key = scenario.environment_key()
         for index in range(args.runs):
             seed = derive_run_seed(args.seed, env_key, index)
@@ -118,21 +104,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = SweepConfig()
-    if args.config is not None:
-        base = config_from_mapping(parse_config_file(args.config), base)
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = str(args.seed)
-    if args.runs is not None:
-        overrides["runs"] = str(args.runs)
-    if args.max_slots is not None:
-        overrides["max_slots"] = str(args.max_slots)
-    for key in ("protocols", "handshakes", "nodes", "channels", "modes", "activities"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    config = config_from_mapping(overrides, base)
+    config = config_from_mapping(parse_config_file(args.config)) if args.config else None
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
+    config = config_from_mapping(overrides, config)
     results = run_sweep(config, args.out)
     print(f"{len(results)} cells -> {args.out}/data.csv")
     return 0
@@ -184,16 +158,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a configured sweep grid")
-    p_sweep.add_argument("--config", default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--runs", type=int, default=None)
-    p_sweep.add_argument("--max-slots", type=int, default=None)
-    p_sweep.add_argument("--protocols", default=None, help="comma list")
-    p_sweep.add_argument("--handshakes", default=None, help="comma list")
-    p_sweep.add_argument("--nodes", default=None, help="comma list")
-    p_sweep.add_argument("--channels", default=None, help="comma list")
-    p_sweep.add_argument("--modes", default=None, help="comma list of sym or m values")
-    p_sweep.add_argument("--activities", default=None, help="comma list")
+    # Every flag but --config and --out overrides the configuration key it
+    # stores under, and is read the same way as that key.
+    p_sweep.add_argument("--config")
+    p_sweep.add_argument("--seed", dest="base_seed", metavar="SEED")
+    p_sweep.add_argument("--runs")
+    p_sweep.add_argument("--max-slots")
+    p_sweep.add_argument("--protocols", help="comma list")
+    p_sweep.add_argument("--handshakes", help="comma list")
+    p_sweep.add_argument("--nodes", help="comma list")
+    p_sweep.add_argument("--channels", help="comma list")
+    p_sweep.add_argument("--modes", help="comma list of sym or m values")
+    p_sweep.add_argument("--activities", help="comma list")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 

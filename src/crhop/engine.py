@@ -79,7 +79,12 @@ MAX_BLOCK_SLOTS = 256
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full description of one simulation configuration."""
+    """Full description of one simulation configuration.
+
+    The one definition of every scenario setting: a SweepConfig carries each
+    field no sweep axis sets under the same name and default, and the CLI has
+    one flag per field.
+    """
 
     nodes: int
     channels: int
@@ -98,7 +103,6 @@ class Scenario:
     # default its snapshots withhold that link until a later handshake
     # confirms it. True shares tentative links immediately.
     share_unconfirmed_links: bool = False
-    topology_attempts: int = 10_000
     rates_table: tuple[tuple[float, float], ...] | None = None
     positions: tuple[tuple[float, float], ...] | None = None
 
@@ -208,7 +212,6 @@ def build_environment(scenario: Scenario, seed) -> tuple[Topology, SpectrumMap, 
             scenario.area,
             scenario.radio_range,
             labeled_rng(root, "topology"),
-            max_attempts=scenario.topology_attempts,
         )
     smap = assign_channels(
         scenario.nodes,

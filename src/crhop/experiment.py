@@ -16,12 +16,15 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
+from itertools import product
 
-from .activity import ACTIVITY_CLASSES, RATE_TABLE, TABLE_UTILIZATION, ActivityRates, utilization
-from .engine import DEFAULT_AREA, DEFAULT_RANGE, Scenario, run
+from .activity import RATE_TABLE, TABLE_UTILIZATION, ActivityRates, utilization
+from .engine import Scenario, run
 from .errors import GenerationFailureError, InvalidParameterError
+from .handshake import HANDSHAKE_KINDS
 from .metrics import ExperimentResult, summarize
+from .protocols import STRATEGY_KINDS
 from .seeding import derive_run_seed
 
 WORKERS_ENV_VAR = "CRHOP_WORKERS"
@@ -35,68 +38,83 @@ PLOT_COLUMNS = (
     "protocol", "handshake", "N", "C", "mode", "m", "activity", "metric", "value",
 )
 
+# Sweep axes in cell order, each with the Scenario field it sets. A modes
+# entry is "sym" or the similarity ratio m of an asymmetric cell.
+AXES = {
+    "protocols": "protocol", "handshakes": "handshake", "nodes": "nodes",
+    "channels": "channels", "modes": "mode", "activities": "activity",
+}
+
+# Scenario fields no axis sets: every cell of a sweep shares their values.
+SHARED_FIELDS = tuple(f.name for f in fields(Scenario) if f.name not in {*AXES.values(), "m"})
+
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Axes and shared settings of one sweep."""
-
-    protocols: tuple[str, ...] = ("mdmca", "mrcs", "mmca", "memca")
-    handshakes: tuple[str, ...] = ("2wh", "3wh")
+class _Axes:
+    protocols: tuple[str, ...] = STRATEGY_KINDS
+    handshakes: tuple[str, ...] = HANDSHAKE_KINDS
     nodes: tuple[int, ...] = (3, 10, 20)
     channels: tuple[int, ...] = (10,)
-    modes: tuple = ("sym",)  # entries: "sym" or an int similarity ratio m
+    modes: tuple = ("sym",)
     activities: tuple[str, ...] = ("zero",)
     runs: int = 30
     base_seed: int = 1
-    max_slots: int = 100_000
-    area: tuple[float, float] = DEFAULT_AREA
-    radio_range: float = DEFAULT_RANGE
-    per_node_size: int | None = None
-    completion_mode: str = "responder-only"
-    emca_window: float = math.inf
-    share_unconfirmed_links: bool = False
-    rates_table: tuple[tuple[float, float], ...] | None = None
 
     def validate(self) -> None:
         if self.runs < 1:
             raise InvalidParameterError(f"runs must be >= 1, got {self.runs}")
-        if not (self.protocols and self.handshakes and self.nodes and self.channels
-                and self.modes and self.activities):
+        if not all(getattr(self, axis) for axis in AXES):
             raise InvalidParameterError("every sweep axis needs at least one value")
+
+
+SweepConfig = make_dataclass(
+    "SweepConfig",
+    [(f.name, f.type, field(default=f.default)) for f in fields(Scenario) if f.name in SHARED_FIELDS],
+    bases=(_Axes,),
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Axes, run count and base seed of one sweep, plus the Scenario "
+                   "fields its cells share, under the same names and defaults.",
+    },
+)
+
+
+def _mode_fields(entry, per_node_size) -> dict:
+    """Scenario fields that one modes entry sets."""
+    if entry == "sym":
+        return {"mode": "sym", "m": None, "per_node_size": None}
+    return {"mode": "asym", "m": int(entry), "per_node_size": per_node_size}
 
 
 def cells(config: SweepConfig) -> list[Scenario]:
     """Scenarios of the sweep, in deterministic axis order."""
     config.validate()
-    out = []
-    for protocol in config.protocols:
-        for handshake in config.handshakes:
-            for n in config.nodes:
-                for c in config.channels:
-                    for mode_entry in config.modes:
-                        for activity in config.activities:
-                            mode = "sym" if mode_entry == "sym" else "asym"
-                            m = None if mode == "sym" else int(mode_entry)
-                            out.append(
-                                Scenario(
-                                    nodes=n,
-                                    channels=c,
-                                    mode=mode,
-                                    m=m,
-                                    per_node_size=None if mode == "sym" else config.per_node_size,
-                                    activity=activity,
-                                    protocol=protocol,
-                                    handshake=handshake,
-                                    area=config.area,
-                                    radio_range=config.radio_range,
-                                    max_slots=config.max_slots,
-                                    completion_mode=config.completion_mode,
-                                    emca_window=config.emca_window,
-                                    share_unconfirmed_links=config.share_unconfirmed_links,
-                                    rates_table=config.rates_table,
-                                )
-                            )
+    points = [
+        dict(zip(AXES.values(), values))
+        for values in product(*(getattr(config, axis) for axis in AXES))
+    ]
+    for point in points:
+        point.update(_mode_fields(point["mode"], config.per_node_size))
+    shared = {name: getattr(config, name) for name in SHARED_FIELDS}
+    template = Scenario(**{**shared, **points[0]})
+    out = [replace(template, **point) for point in points]
+    for scenario in out:
+        scenario.validate()
     return out
+
+
+def one_cell_sweep(scenario: Scenario, runs: int, base_seed: int) -> SweepConfig:
+    """The sweep whose only cell is `scenario`.
+
+    The cell equals `scenario` except in symmetric mode, where cells() clears
+    m and per_node_size as it does for every symmetric cell.
+    """
+    axes = {axis: (getattr(scenario, name),) for axis, name in AXES.items()}
+    if scenario.mode == "asym":
+        axes["modes"] = (scenario.m,)
+    shared = {name: getattr(scenario, name) for name in SHARED_FIELDS}
+    return SweepConfig(**axes, runs=runs, base_seed=base_seed, **shared)
 
 
 def scenario_descriptor(scenario: Scenario, base_seed: int) -> dict:
@@ -154,25 +172,27 @@ def data_csv_text(results) -> str:
     return buf.getvalue()
 
 
+# Echoed only when set, so the summary of a sweep without them keeps its bytes.
+_ECHOED_WHEN_SET = ("rates_table", "positions")
+
+
+def _plain(value):
+    """JSON form of a config value: tuples as lists, an unbounded float as "inf"."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if value == math.inf:
+        return "inf"
+    return value
+
+
 def summary_payload(config: SweepConfig, results, failures) -> dict:
+    echo = {
+        f.name: _plain(getattr(config, f.name))
+        for f in fields(config)
+        if not (f.name in _ECHOED_WHEN_SET and getattr(config, f.name) is None)
+    }
     return {
-        "config": {
-            "protocols": list(config.protocols),
-            "handshakes": list(config.handshakes),
-            "nodes": list(config.nodes),
-            "channels": list(config.channels),
-            "modes": list(config.modes),
-            "activities": list(config.activities),
-            "runs": config.runs,
-            "base_seed": config.base_seed,
-            "max_slots": config.max_slots,
-            "area": list(config.area),
-            "radio_range": config.radio_range,
-            "per_node_size": config.per_node_size,
-            "completion_mode": config.completion_mode,
-            "emca_window": "inf" if math.isinf(config.emca_window) else config.emca_window,
-            "share_unconfirmed_links": config.share_unconfirmed_links,
-        },
+        "config": echo,
         "cells": [
             {
                 "scenario": {k: v for k, v in res.scenario.items()},
@@ -218,7 +238,6 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
     summary and skipped; the sweep continues. Worker count comes from the
     CRHOP_WORKERS environment variable (default 1).
     """
-    config.validate()
     tasks = [(sc, config.runs, config.base_seed) for sc in cells(config)]
     text = os.environ.get(WORKERS_ENV_VAR, "1")
     try:
@@ -346,43 +365,46 @@ def load_rates_file(path: str) -> tuple[tuple[float, float], ...]:
     return rows
 
 
-_LIST_KEYS = {"protocols", "handshakes", "nodes", "channels", "modes", "activities"}
+def _items(parse):
+    """Parser of a comma-separated list whose items `parse` reads."""
+    return lambda text: tuple(parse(item.strip()) for item in text.split(",") if item.strip())
+
+
+def _mode_entry(text: str):
+    return text if text == "sym" else int(text)
+
+
+# Configuration-file key -> parser of its value text. Each key names the
+# SweepConfig field it sets, except rates_file, which sets rates_table.
+CONFIG_KEYS = {
+    "protocols": _items(str),
+    "handshakes": _items(str),
+    "nodes": _items(int),
+    "channels": _items(int),
+    "modes": _items(_mode_entry),
+    "activities": _items(str),
+    "runs": int,
+    "base_seed": int,
+    "max_slots": int,
+    "per_node_size": lambda text: None if text in ("", "none") else int(text),
+    "area": parse_area,
+    "radio_range": float,
+    "completion_mode": str,
+    "emca_window": parse_emca_window,
+    "share_unconfirmed_links": lambda text: text.lower() in ("1", "true", "yes", "on"),
+    "rates_file": load_rates_file,
+}
 
 
 def config_from_mapping(mapping: dict[str, str], base: SweepConfig | None = None) -> SweepConfig:
     """Apply textual configuration keys on top of a base SweepConfig."""
-    config = base if base is not None else SweepConfig()
     updates = {}
-    for key, value in mapping.items():
-        if key in _LIST_KEYS:
-            items = [v.strip() for v in value.split(",") if v.strip()]
-            if key in ("nodes", "channels"):
-                updates[key] = tuple(int(v) for v in items)
-            elif key == "modes":
-                updates[key] = tuple(v if v == "sym" else int(v) for v in items)
-            else:
-                updates[key] = tuple(items)
-        elif key in ("runs", "max_slots", "base_seed"):
-            updates[key] = int(value)
-        elif key == "per_node_size":
-            updates[key] = None if value in ("", "none") else int(value)
-        elif key == "area":
-            updates[key] = parse_area(value)
-        elif key == "radio_range":
-            updates[key] = float(value)
-        elif key == "completion_mode":
-            updates[key] = value
-        elif key == "emca_window":
-            updates[key] = parse_emca_window(value)
-        elif key == "share_unconfirmed_links":
-            updates[key] = value.lower() in ("1", "true", "yes", "on")
-        elif key == "rates_file":
-            updates["rates_table"] = load_rates_file(value)
-        else:
+    for key, text in mapping.items():
+        if key not in CONFIG_KEYS:
             raise InvalidParameterError(f"unknown configuration key {key!r}")
-    for activity_list in (updates.get("activities"), ):
-        if activity_list:
-            for a in activity_list:
-                if a not in ACTIVITY_CLASSES:
-                    raise InvalidParameterError(f"unknown activity class {a!r}")
-    return replace(config, **updates)
+        try:
+            value = CONFIG_KEYS[key](text)
+        except ValueError as exc:
+            raise InvalidParameterError(f"configuration key {key!r}: {exc}") from None
+        updates["rates_table" if key == "rates_file" else key] = value
+    return replace(base if base is not None else SweepConfig(), **updates)

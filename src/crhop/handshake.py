@@ -87,8 +87,6 @@ class Transcript:
     def packets(self) -> int:
         return len(self.messages)
 
-    rendezvous = 1
-
 
 def run_2wh(
     initiator: NeighborTables,

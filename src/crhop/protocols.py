@@ -22,8 +22,6 @@ import numpy as np
 from .errors import InvalidParameterError, NoChannelError
 from .spectrum import is_prime, partition_prime
 
-STRATEGY_KINDS = ("mdmca", "mrcs", "mmca", "memca")
-
 
 def _epoch_rates(current, first: int, period: int, count: int, draw) -> np.ndarray:
     """Per-step rates of the next `count` clock steps.
@@ -178,20 +176,13 @@ class MmcaStrategy:
         return np.array(self.cu)[clock % self.m]
 
 
-class MemcaStrategy(MmcaStrategy):
-    """Same clock core as MmcaStrategy; differs only in termination policy,
-    which lives in the engine (extended responder window after completion)."""
-
-    kind = "memca"
+# memca shares mmca's clock; it differs only in its termination policy,
+# which lives in the engine (a responder window after completion).
+_STRATEGIES = {"mdmca": MdmcaStrategy, "mrcs": MrcsStrategy, "mmca": MmcaStrategy, "memca": MmcaStrategy}
+STRATEGY_KINDS = tuple(_STRATEGIES)
 
 
 def make_strategy(kind: str, channels, rng: np.random.Generator):
-    if kind == "mdmca":
-        return MdmcaStrategy(channels, rng)
-    if kind == "mrcs":
-        return MrcsStrategy(channels, rng)
-    if kind == "mmca":
-        return MmcaStrategy(channels, rng)
-    if kind == "memca":
-        return MemcaStrategy(channels, rng)
-    raise InvalidParameterError(f"unknown strategy kind {kind!r}")
+    if kind not in _STRATEGIES:
+        raise InvalidParameterError(f"unknown strategy kind {kind!r}")
+    return _STRATEGIES[kind](channels, rng)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from crhop.cli import main
+from crhop.experiment import SweepConfig, run_sweep
 
 
 def test_check_table1_exit_code(capsys):
@@ -84,3 +85,42 @@ def test_malformed_worker_count_exits_2(monkeypatch, capsys, tmp_path):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert "CRHOP_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "runs = abc", "nodes = 3, x", "modes = sym, x", "radio_range = far",
+])
+def test_malformed_config_value_exits_2(line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and line.split(" =")[0] in err
+
+
+def test_rates_table_without_a_row_for_the_class_exits_2(tmp_path, capsys):
+    # a high profile reads rows 4, 8, ...; two rows hold none of them
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps([[1.0, 1.0], [2.0, 0.5]]))
+    code = main(["run", "--nodes", "3", "--runs", "1", "--activity", "high",
+                 "--rates", str(rates), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_positions_reach_the_sweep_outputs(tmp_path):
+    positions = tmp_path / "chain.txt"
+    positions.write_text("0 0 0\n1 90 0\n2 180 0\n")
+    flags = ["--nodes", "3", "--channels", "4", "--seed", "7", "--runs", "3", "--max-slots", "500"]
+    assert main(["run", *flags, "--positions", str(positions), "--out", str(tmp_path / "cli")]) == 0
+    config = SweepConfig(
+        protocols=("mdmca",), handshakes=("3wh",), nodes=(3,), channels=(4,), modes=("sym",),
+        activities=("zero",), runs=3, base_seed=7, max_slots=500,
+        positions=((0.0, 0.0), (90.0, 0.0), (180.0, 0.0)),
+    )
+    run_sweep(config, str(tmp_path / "lib"))
+    assert main(["run", *flags, "--out", str(tmp_path / "random")]) == 0
+    data = (tmp_path / "cli" / "data.csv").read_bytes()
+    assert data == (tmp_path / "lib" / "data.csv").read_bytes()
+    assert data != (tmp_path / "random" / "data.csv").read_bytes()

@@ -226,10 +226,17 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             Scenario(**{**good, "positions": ((0.0, 0.0),)}).validate()
 
-    def test_generation_failure_surfaces(self):
+    def test_generation_failure_surfaces(self, monkeypatch):
+        import crhop.engine as engine_mod
+        from crhop.topology import generate_topology as real_generate
+
+        def budgeted(n, area, radio_range, rng):
+            return real_generate(n, area, radio_range, rng, max_attempts=50)
+
+        monkeypatch.setattr(engine_mod, "generate_topology", budgeted)
         sc = Scenario(nodes=10, channels=5, mode="sym", activity="zero",
                       protocol="mrcs", handshake="3wh",
-                      area=(1000.0, 1000.0), radio_range=100.0, topology_attempts=50)
+                      area=(1000.0, 1000.0), radio_range=100.0)
         with pytest.raises(GenerationFailureError):
             run(sc, 1)
 

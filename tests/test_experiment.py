@@ -8,6 +8,7 @@ import math
 import pytest
 
 from crhop.activity import RATE_TABLE
+from crhop.engine import Scenario
 from crhop.errors import InvalidParameterError
 from crhop.experiment import (
     SweepConfig,
@@ -16,6 +17,7 @@ from crhop.experiment import (
     config_from_mapping,
     data_csv_text,
     emit_plotdata,
+    one_cell_sweep,
     parse_config_file,
     plot_rows,
     run_cell,
@@ -92,6 +94,24 @@ class TestSweep:
         config = tiny_config(nodes=(3, 4), runs=2)
         a, b = (run_cell(sc, config.runs, config.base_seed) for sc in cells(config))
         assert set(a.seeds).isdisjoint(b.seeds)
+
+    def test_parallel_sweep_writes_serial_bytes(self, tmp_path, monkeypatch):
+        config = tiny_config(protocols=("mdmca", "mrcs"), nodes=(3, 4), runs=2)
+        monkeypatch.delenv("CRHOP_WORKERS", raising=False)
+        run_sweep(config, str(tmp_path / "serial"))
+        monkeypatch.setenv("CRHOP_WORKERS", "2")
+        run_sweep(config, str(tmp_path / "parallel"))
+        for name in ("data.csv", "summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
+
+    @pytest.mark.parametrize("mode", [{"mode": "sym"}, {"mode": "asym", "m": 2, "per_node_size": 4}])
+    def test_one_cell_sweep_runs_its_scenario(self, mode):
+        scenario = Scenario(nodes=3, channels=6, activity="mix", protocol="memca", handshake="2wh",
+                            area=(300.0, 200.0), radio_range=90.0, max_slots=700,
+                            completion_mode="silent", emca_window=4.0,
+                            share_unconfirmed_links=True, rates_table=((1.0, 1.0),),
+                            positions=((0.0, 0.0), (50.0, 0.0), (100.0, 0.0)), **mode)
+        assert cells(one_cell_sweep(scenario, 2, 9)) == [scenario]
 
     def test_run_seeds_reproducible(self):
         assert derive_run_seed(1, "env", 0) == derive_run_seed(1, "env", 0)
@@ -213,6 +233,26 @@ class TestConfigParsing:
             SweepConfig(runs=0).validate()
         with pytest.raises(InvalidParameterError):
             SweepConfig(protocols=()).validate()
+
+
+class TestSummaryEcho:
+    def test_rates_and_positions_echoed_when_set(self, tmp_path):
+        positions = ((0.0, 0.0), (60.0, 0.0), (120.0, 0.0))
+        echoes = []
+        for rates in (((1.0, 1.0),), ((2.0, 0.5),)):
+            out = tmp_path / str(len(echoes))
+            run_sweep(tiny_config(rates_table=rates, positions=positions, runs=1), str(out))
+            echo = json.loads((out / "summary.json").read_text())["config"]
+            assert echo["rates_table"] == [list(row) for row in rates]
+            assert echo["positions"] == [list(p) for p in positions]
+            echoes.append(echo)
+        assert echoes[0] != echoes[1]
+
+    def test_unset_rates_and_positions_not_echoed(self, tmp_path):
+        run_sweep(tiny_config(runs=1), str(tmp_path))
+        echo = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert "rates_table" not in echo and "positions" not in echo
+        assert echo["per_node_size"] is None and echo["emca_window"] == "inf"
 
 
 def test_data_csv_columns_fixed(tmp_path):
