@@ -12,7 +12,7 @@ from .errors import (
     UndefinedPprError,
 )
 from .experiment import SweepConfig, check_table1, emit_plotdata, run_cell, run_sweep
-from .handshake import NeighborTables, run_2wh, run_3wh
+from .handshake import NeighborTables, run_handshake
 from .metrics import attr, compare, ppr, summarize
 from .protocols import make_strategy
 from .spectrum import SpectrumMap, assign_channels, partition_prime
@@ -46,9 +46,8 @@ __all__ = [
     "partition_prime",
     "ppr",
     "run",
-    "run_2wh",
-    "run_3wh",
     "run_cell",
+    "run_handshake",
     "run_sweep",
     "state_probabilities",
     "summarize",

@@ -184,18 +184,6 @@ class RunRecord:
     trace: tuple | None = None
 
 
-class _Node:
-    __slots__ = ("node_id", "strategy", "tables", "complete", "completion_slot", "ttr")
-
-    def __init__(self, node_id, strategy):
-        self.node_id = node_id
-        self.strategy = strategy
-        self.tables = NeighborTables(node_id)
-        self.complete = False
-        self.completion_slot = 0
-        self.ttr = 0
-
-
 def build_environment(scenario: Scenario, seed) -> tuple[Topology, SpectrumMap, dict[int, ChannelProcess]]:
     """Topology, channel assignment and occupancy processes for one run.
 
@@ -270,100 +258,82 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
         def election(tag, options):
             return options[int(elect_rng.integers(len(options)))]
 
-    nodes = [
-        _Node(i, make_strategy(scenario.protocol, smap.available[i], labeled_rng(root, f"strategy/{i}")))
-        for i in range(n)
-    ]
-    by_id = {nd.node_id: nd for nd in nodes}
+    strategies = [make_strategy(scenario.protocol, smap.available[i], labeled_rng(root, f"strategy/{i}"))
+                  for i in range(n)]
+    tables = [NeighborTables(i) for i in range(n)]
+    done = {0: 0} if n == 1 else {}  # complete node id -> its TTR in half-slots
     rows: list | None = [] if trace else None
     packets = 0
-    rendezvous = 0
     met_pairs: set[tuple[int, int]] = set()
 
-    for nd in nodes:
-        if len(nd.tables.knowledge()) == n - 1:
-            nd.complete = True
-
-    def is_silent(nd: _Node, slot: int) -> bool:
-        if not nd.complete:
+    def is_silent(i: int, slot: int) -> bool:
+        if i not in done:
             return False
         if scenario.completion_mode == "silent":
             return True
-        if scenario.protocol == "memca" and slot > nd.completion_slot + scenario.emca_window:
-            return True
-        return False
+        # (ttr + 1) // 2 is the slot the node completed in
+        return scenario.protocol == "memca" and slot > (done[i] + 1) // 2 + scenario.emca_window
 
-    def may_initiate(nd: _Node) -> bool:
+    def may_initiate(i: int) -> bool:
         if scenario.completion_mode == "active":
             return True
-        return (not nd.complete) or not nd.tables.dnl <= nd.tables.confirmed
+        return i not in done or not tables[i].dnl <= tables[i].confirmed
 
-    def cluster_round(cluster_ids: list[int], channel: int, slot: int, half: int) -> tuple[_Node, ...]:
-        """One cluster's half-slot; returns the nodes whose tables it changed."""
-        nonlocal packets, rendezvous
-        members = [by_id[i] for i in cluster_ids]
-        eligible = [nd.node_id for nd in members if may_initiate(nd)]
+    def cluster_round(cluster_ids: list[int], channel: int, slot: int, half: int) -> tuple[int, ...]:
+        """One cluster's half-slot; returns the ids of the nodes whose tables it changed."""
+        nonlocal packets
+        eligible = [i for i in cluster_ids if may_initiate(i)]
         if not eligible:
             return ()
-        if len(members) == 1:
-            lone = members[0]
-            if not lone.complete:
+        if len(cluster_ids) == 1:
+            if cluster_ids[0] not in done:
                 packets += 1
                 if rows is not None:
-                    rows.append((slot, half, channel, D_REQ, lone.node_id, None, OFF))
+                    rows.append((slot, half, channel, D_REQ, cluster_ids[0], None, OFF))
             return ()
-        init = by_id[election("initiator", eligible)]
-        in_range = [i for i in cluster_ids if topology.adjacent(init.node_id, i)]
+        init = election("initiator", eligible)
+        in_range = [i for i in cluster_ids if topology.adjacent(init, i)]
         # Responder preference: peers never heard of, then direct links still
         # awaiting confirmation, then peers known only indirectly, then
         # confirmed links. The unconfirmed tier is what sends a two-way
         # handshake's responder back toward that neighbor at later meetings.
-        dnl, inl, confirmed = init.tables.dnl, init.tables.inl, init.tables.confirmed
+        dnl, inl, confirmed = tables[init].dnl, tables[init].inl, tables[init].confirmed
         tier = (
             [i for i in in_range if i not in dnl and i not in inl]
             or [i for i in in_range if i in dnl and i not in confirmed]
             or [i for i in in_range if i in inl]
             or [i for i in in_range if i in confirmed]
         )
-        responder = by_id[election("responder", tier)]
-        transcript = run_handshake(
-            scenario.handshake, init.tables, responder.tables, scenario.share_unconfirmed_links
+        responder = election("responder", tier)
+        messages = run_handshake(
+            scenario.handshake, tables[init], tables[responder], scenario.share_unconfirmed_links
         )
-        packets += transcript.packets
-        pair = (min(init.node_id, responder.node_id), max(init.node_id, responder.node_id))
-        if pair not in met_pairs:
-            met_pairs.add(pair)
-            rendezvous += 1
+        packets += len(messages)
+        met_pairs.add((min(init, responder), max(init, responder)))
         if rows is not None:
-            for kind, s, r in transcript.messages:
-                rows.append((slot, half, channel, kind, s, r, OFF))
+            rows.extend((slot, half, channel, kind, s, r, OFF) for kind, s, r in messages)
         return init, responder
 
-    incomplete = {nd.node_id for nd in nodes if not nd.complete}
     block_slots = FIRST_BLOCK_SLOTS
     slot0 = 1  # first slot of the block
-    while incomplete and slot0 <= scenario.max_slots:
+    while len(done) < n and slot0 <= scenario.max_slots:
         slots = min(block_slots, scenario.max_slots - slot0 + 1)
         block_slots = min(2 * block_slots, MAX_BLOCK_SLOTS)
         width = 2 * slots  # half-slots in the block
         span = np.arange(width)
-        live = [nd for nd in nodes if not is_silent(nd, slot0)]  # id order
-        hops = np.array([nd.strategy.hops(slots) for nd in live])
+        live = [i for i in range(n) if not is_silent(i, slot0)]
+        hops = np.array([strategies[i].hops(slots) for i in live])
         times = (2 * (slot0 - 1) + span) * 0.5
         busy = np.zeros((len(processes) + 1, width), dtype=bool)  # row 0 unused
         for channel, process in processes.items():
             busy[channel] = process.busy_at(times)
         idle = ~busy[hops, span]
-        if rows is None:
-            # A half-slot needs the full procedure only where two idle live
-            # nodes share a channel; everywhere else each idle node is alone,
-            # and nodes on busy channels do nothing.
-            listeners = np.bincount((hops * width + span)[idle], minlength=busy.size)
-            visit = (listeners.reshape(busy.shape) > 1).any(axis=0)
-            heard = idle & visit
-        else:
-            visit = np.ones(width, dtype=bool)
-            heard = np.ones_like(idle)
+        # A half-slot needs the full procedure only where two idle live nodes
+        # share a channel (or on every half-slot, for the trace); everywhere
+        # else each idle node is alone, and nodes on busy channels do nothing.
+        listeners = np.bincount((hops * width + span)[idle], minlength=busy.size)
+        visit = (listeners.reshape(busy.shape) > 1).any(axis=0) | trace
+        heard = (idle | trace) & visit
         lone = idle & ~visit  # where a live node sends a lone D-REQ, if incomplete
         stops = {}  # node id -> half-slots of the block it spent incomplete
         # (half-slot, live row) pairs the visits read, in half-slot then id order
@@ -375,11 +345,10 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
             tuned: dict[int, list[int]] = {}
             channel_idle = {}
             for _, row, channel, free in group:
-                nd = live[row]
-                if not is_silent(nd, slot):
-                    tuned.setdefault(channel, []).append(nd.node_id)
+                if not is_silent(live[row], slot):
+                    tuned.setdefault(channel, []).append(live[row])
                     channel_idle[channel] = free
-            touched: list[_Node] = []
+            touched: list[int] = []
             for channel in sorted(tuned):
                 if rows is not None:
                     state = OFF if channel_idle[channel] else ON
@@ -388,31 +357,19 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
                     continue  # sensing gate: nobody transmits this half-slot
                 for cluster_ids in _clusters(tuned[channel], topology):
                     touched.extend(cluster_round(cluster_ids, channel, slot, half))
-            for nd in touched:
-                if not nd.complete and len(nd.tables.dnl) + len(nd.tables.inl) == n - 1:
-                    nd.complete = True
-                    nd.completion_slot = slot
-                    nd.ttr = 2 * slot - (1 if half == 1 else 0)
-                    incomplete.discard(nd.node_id)
-                    stops[nd.node_id] = k
-            if not incomplete:
+            for i in touched:
+                if i not in done and len(tables[i].dnl) + len(tables[i].inl) == n - 1:
+                    done[i] = 2 * slot - 2 + half
+                    stops[i] = k
+            if len(done) == n:
                 break
-        for row, nd in enumerate(live):
-            stop = stops.get(nd.node_id, width if nd.node_id in incomplete else 0)
+        for row, i in enumerate(live):
+            stop = stops.get(i, 0 if i in done else width)
             if stop:
                 packets += int(np.count_nonzero(lone[row, :stop]))
         slot0 += slots
 
-    ttrs = []
-    censored = []
-    for nd in nodes:
-        if nd.complete:
-            ttrs.append(nd.ttr)
-            censored.append(False)
-        else:
-            ttrs.append(2 * scenario.max_slots)
-            censored.append(True)
-
+    rendezvous = len(met_pairs)
     if packets < HANDSHAKE_SIZES[scenario.handshake] * rendezvous:
         raise RuntimeError(
             f"{packets} packets cannot carry {rendezvous} {scenario.handshake} rendezvous"
@@ -421,8 +378,8 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
         node_count=n,
         handshake=scenario.handshake,
         max_slots=scenario.max_slots,
-        ttr_half_slots=tuple(ttrs),
-        censored=tuple(censored),
+        ttr_half_slots=tuple(done.get(i, 2 * scenario.max_slots) for i in range(n)),
+        censored=tuple(i not in done for i in range(n)),
         packets=packets,
         rendezvous=rendezvous,
         trace=tuple(rows) if rows is not None else None,

@@ -3,9 +3,9 @@
 A handshake happens between two nodes tuned to the same idle channel. The
 two-way form is D-REQ then D-ACK: only the initiator ends up knowing the
 exchange completed, so only the initiator marks the link confirmed. The
-three-way form inserts a D-RESP and closes with a D-ACK carrying the
-initiator's merged tables, leaving both sides confirmed and with identical
-views of the network.
+three-way form is the same exchange with the reply labelled D-RESP, closed
+by a D-ACK carrying the initiator's merged tables, leaving both sides
+confirmed and with identical views of the network.
 
 Messages inside one half-slot are atomic: the half-second half-slot is long
 enough for the full exchange, so there is no mid-handshake loss or
@@ -26,16 +26,6 @@ HANDSHAKE_KINDS = ("2wh", "3wh")
 HANDSHAKE_SIZES = {"2wh": 2, "3wh": 3}
 
 
-@dataclass(frozen=True)
-class HandshakeMessage:
-    """One control message carrying the sender's table snapshot."""
-
-    kind: str
-    sender: int
-    dnl: frozenset[int]
-    inl: frozenset[int]
-
-
 @dataclass
 class NeighborTables:
     """A node's direct (handshaken) and indirect (learned) neighbor lists.
@@ -52,86 +42,29 @@ class NeighborTables:
     def knowledge(self) -> frozenset[int]:
         return frozenset(self.dnl | self.inl)
 
-    def unconfirmed(self) -> frozenset[int]:
-        return frozenset(self.dnl - self.confirmed)
-
-    def snapshot(self, kind: str, share_unconfirmed: bool = True) -> HandshakeMessage:
-        """Tables as transmitted. With share_unconfirmed=False the sender
+    def snapshot(self, share_unconfirmed: bool = True) -> tuple[set[int], set[int]]:
+        """(dnl, inl) as transmitted. With share_unconfirmed=False the sender
         withholds direct links it has not yet confirmed, so receivers cannot
-        learn them second-hand until the sender re-confirms."""
-        dnl = self.dnl if share_unconfirmed else self.dnl & self.confirmed
-        return HandshakeMessage(kind, self.owner, frozenset(dnl), frozenset(self.inl))
+        learn them second-hand until the sender re-confirms.
 
-    def merge(self, msg: HandshakeMessage) -> None:
-        """Fold a received message into the tables.
+        The sets are the sender's own, not copies: a handshake merges each
+        snapshot before its sender's tables change."""
+        dnl = self.dnl if share_unconfirmed else self.dnl & self.confirmed
+        return dnl, self.inl
+
+    def merge(self, sender: int, dnl: set[int], inl: set[int]) -> None:
+        """Fold a message from `sender` carrying its (dnl, inl) into the tables.
 
         The sender becomes a direct neighbor; every node it reports becomes
         an indirect neighbor unless already direct. Idempotent.
         """
-        if msg.sender == self.owner:
+        if sender == self.owner:
             raise InvalidParameterError("a node cannot merge its own message")
-        self.dnl.add(msg.sender)
-        self.inl.discard(msg.sender)
-        for peer in msg.dnl | msg.inl:
+        self.dnl.add(sender)
+        self.inl.discard(sender)
+        for peer in dnl | inl:
             if peer != self.owner and peer not in self.dnl:
                 self.inl.add(peer)
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Messages of one completed handshake, in transmission order."""
-
-    messages: tuple[tuple[str, int, int], ...]  # (kind, sender, receiver)
-
-    @property
-    def packets(self) -> int:
-        return len(self.messages)
-
-
-def run_2wh(
-    initiator: NeighborTables,
-    responder: NeighborTables,
-    share_unconfirmed: bool = True,
-) -> Transcript:
-    """D-REQ / D-ACK exchange. Confirms the link for the initiator only."""
-    req = initiator.snapshot(D_REQ, share_unconfirmed)
-    responder.merge(req)
-    ack = responder.snapshot(D_ACK, share_unconfirmed)
-    initiator.merge(ack)
-    initiator.confirmed.add(responder.owner)
-    return Transcript(
-        (
-            (D_REQ, initiator.owner, responder.owner),
-            (D_ACK, responder.owner, initiator.owner),
-        )
-    )
-
-
-def run_3wh(
-    initiator: NeighborTables,
-    responder: NeighborTables,
-    share_unconfirmed: bool = True,
-) -> Transcript:
-    """D-REQ / D-RESP / D-ACK exchange. Confirms the link for both sides.
-
-    The closing D-ACK carries the initiator's post-merge tables, so the
-    responder leaves the exchange synchronized with the initiator's view.
-    """
-    req = initiator.snapshot(D_REQ, share_unconfirmed)
-    responder.merge(req)
-    resp = responder.snapshot(D_RESP, share_unconfirmed)
-    initiator.merge(resp)
-    initiator.confirmed.add(responder.owner)
-    ack = initiator.snapshot(D_ACK, share_unconfirmed)
-    responder.merge(ack)
-    responder.confirmed.add(initiator.owner)
-    return Transcript(
-        (
-            (D_REQ, initiator.owner, responder.owner),
-            (D_RESP, responder.owner, initiator.owner),
-            (D_ACK, initiator.owner, responder.owner),
-        )
-    )
 
 
 def run_handshake(
@@ -139,9 +72,22 @@ def run_handshake(
     initiator: NeighborTables,
     responder: NeighborTables,
     share_unconfirmed: bool = True,
-) -> Transcript:
+) -> tuple[tuple[str, int, int], ...]:
+    """One handshake; returns its (kind, sender, receiver) messages in order.
+
+    Both kinds send a D-REQ and a reply (D-ACK for 2WH, D-RESP for 3WH),
+    after which the initiator merges the reply and confirms the link. 3WH
+    then closes with a D-ACK carrying the initiator's merged tables, which
+    confirms the link for the responder too.
+    """
+    if kind not in HANDSHAKE_KINDS:
+        raise InvalidParameterError(f"unknown handshake kind {kind!r}")
+    a, b = initiator.owner, responder.owner
+    responder.merge(a, *initiator.snapshot(share_unconfirmed))
+    initiator.merge(b, *responder.snapshot(share_unconfirmed))
+    initiator.confirmed.add(b)
     if kind == "2wh":
-        return run_2wh(initiator, responder, share_unconfirmed)
-    if kind == "3wh":
-        return run_3wh(initiator, responder, share_unconfirmed)
-    raise InvalidParameterError(f"unknown handshake kind {kind!r}")
+        return (D_REQ, a, b), (D_ACK, b, a)
+    responder.merge(a, *initiator.snapshot(share_unconfirmed))
+    responder.confirmed.add(a)
+    return (D_REQ, a, b), (D_RESP, b, a), (D_ACK, a, b)

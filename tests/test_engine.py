@@ -279,8 +279,7 @@ def test_packet_floor_violation_raises_even_without_asserts(monkeypatch):
     # An explicit check, not an assert, so `python -O` keeps it: a handshake
     # that transmits nothing breaks packets >= size * rendezvous.
     import crhop.engine
-    from crhop.handshake import Transcript
 
-    monkeypatch.setattr(crhop.engine, "run_handshake", lambda *args: Transcript(()))
+    monkeypatch.setattr(crhop.engine, "run_handshake", lambda *args: ())
     with pytest.raises(RuntimeError, match="packets cannot carry"):
         run(pair_scenario("3wh", max_slots=5), 1)

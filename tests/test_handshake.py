@@ -10,10 +10,7 @@ from crhop.handshake import (
     D_ACK,
     D_REQ,
     D_RESP,
-    HandshakeMessage,
     NeighborTables,
-    run_2wh,
-    run_3wh,
     run_handshake,
 )
 
@@ -36,102 +33,100 @@ def check_invariants(t):
 class TestMerge:
     def test_basic_union(self):
         local = tables("A")
-        local.merge(HandshakeMessage(D_REQ, "B", frozenset({"C"}), frozenset({"D"})))
+        local.merge("B", {"C"}, {"D"})
         assert local.dnl == {"B"}
         assert local.inl == {"C", "D"}
         check_invariants(local)
 
     def test_idempotent(self):
-        msg = HandshakeMessage(D_REQ, "B", frozenset({"C"}), frozenset({"D"}))
+        msg = ("B", {"C"}, {"D"})
         once = tables("A")
-        once.merge(msg)
+        once.merge(*msg)
         twice = tables("A")
-        twice.merge(msg)
-        twice.merge(msg)
+        twice.merge(*msg)
+        twice.merge(*msg)
         assert once == twice
 
     def test_self_excluded(self):
         local = tables("A")
-        local.merge(HandshakeMessage(D_REQ, "B", frozenset({"A", "C"}), frozenset()))
+        local.merge("B", {"A", "C"}, set())
         assert "A" not in local.inl and "A" not in local.dnl
         assert local.inl == {"C"}
 
     def test_direct_wins_over_indirect(self):
         local = tables("A", dnl={"B"})
-        local.merge(HandshakeMessage(D_REQ, "C", frozenset({"B"}), frozenset()))
+        local.merge("C", {"B"}, set())
         assert local.dnl == {"B", "C"}
         assert local.inl == set()
 
     def test_sender_promoted_from_inl(self):
         local = tables("A", inl={"B"})
-        local.merge(HandshakeMessage(D_REQ, "B", frozenset(), frozenset()))
+        local.merge("B", set(), set())
         assert local.dnl == {"B"} and local.inl == set()
 
     def test_own_message_rejected(self):
         local = tables("A")
         with pytest.raises(InvalidParameterError):
-            local.merge(HandshakeMessage(D_REQ, "A", frozenset(), frozenset()))
+            local.merge("A", set(), set())
 
 
 class TestTwoWay:
     def test_fresh_pair(self):
         a, b = tables("A"), tables("B")
-        transcript = run_2wh(a, b)
+        messages = run_handshake("2wh", a, b)
         assert a.dnl == {"B"} and a.confirmed == {"B"}
         assert b.dnl == {"A"} and b.confirmed == set()
-        assert transcript.packets == 2
-        assert [m[0] for m in transcript.messages] == [D_REQ, D_ACK]
+        assert messages == ((D_REQ, "A", "B"), (D_ACK, "B", "A"))
 
     def test_indirect_knowledge_carried(self):
         a, b = tables("A", dnl={"C"}), tables("B")
-        run_2wh(a, b)
+        run_handshake("2wh", a, b)
         assert "C" in b.inl
 
     def test_repeat_meeting_confirms_reverse_link(self):
         a, b = tables("A"), tables("B")
-        run_2wh(a, b)  # B's entry for A is unconfirmed
-        assert b.unconfirmed() == {"A"}
-        transcript = run_2wh(b, a)  # B re-initiates toward A
-        assert transcript.packets == 2
+        run_handshake("2wh", a, b)  # B's entry for A is unconfirmed
+        assert b.dnl - b.confirmed == {"A"}
+        messages = run_handshake("2wh", b, a)  # B re-initiates toward A
+        assert len(messages) == 2
         assert b.confirmed == {"A"} and a.confirmed == {"B"}
 
     def test_knowledge_views_equal_when_sharing(self):
         a = tables("A", dnl={"C"}, inl={"D"}, confirmed={"C"})
         b = tables("B", dnl={"E"})
-        run_2wh(a, b)
+        run_handshake("2wh", a, b)
         assert view(a) == view(b)
 
     def test_gated_snapshot_withholds_unconfirmed(self):
         a = tables("A", dnl={"C"}, confirmed=())  # link to C not yet confirmed
         b = tables("B")
-        run_2wh(a, b, share_unconfirmed=False)
+        run_handshake("2wh", a, b, share_unconfirmed=False)
         assert "C" not in b.knowledge()
         a2 = tables("A", dnl={"C"}, confirmed={"C"})
         b2 = tables("B")
-        run_2wh(a2, b2, share_unconfirmed=False)
+        run_handshake("2wh", a2, b2, share_unconfirmed=False)
         assert "C" in b2.inl
 
 
 class TestThreeWay:
     def test_fresh_pair(self):
         a, b = tables("A"), tables("B")
-        transcript = run_3wh(a, b)
+        messages = run_handshake("3wh", a, b)
         assert a.confirmed == {"B"} and b.confirmed == {"A"}
-        assert transcript.packets == 3
-        assert [m[0] for m in transcript.messages] == [D_REQ, D_RESP, D_ACK]
+        assert len(messages) == 3
+        assert [m[0] for m in messages] == [D_REQ, D_RESP, D_ACK]
 
     def test_union_through_final_ack(self):
         a = tables("A", dnl={"C"}, inl={"D"})
         b = tables("B", inl={"E"})
-        run_3wh(a, b)
+        run_handshake("3wh", a, b)
         for t in (a, b):
             assert {"C", "D", "E"} <= t.knowledge()
         assert view(a) == view(b) == {"A", "B", "C", "D", "E"}
 
     def test_message_direction(self):
         a, b = tables("A"), tables("B")
-        transcript = run_3wh(a, b)
-        assert transcript.messages == (
+        assert run_handshake("3wh", a, b) == (
             (D_REQ, "A", "B"),
             (D_RESP, "B", "A"),
             (D_ACK, "A", "B"),
@@ -161,8 +156,8 @@ class TestMeetingSequences:
             before_i = (set(nodes[i].knowledge()), set(nodes[i].confirmed))
             before_j = (set(nodes[j].knowledge()), set(nodes[j].confirmed))
             resp_confirmed_initiator_before = i in nodes[j].confirmed
-            transcript = run_handshake(kind, nodes[i], nodes[j])
-            assert transcript.packets == (2 if kind == "2wh" else 3)
+            messages = run_handshake(kind, nodes[i], nodes[j])
+            assert len(messages) == (2 if kind == "2wh" else 3)
             for t in nodes:
                 check_invariants(t)
                 assert len(t.knowledge()) <= n - 1
