@@ -91,14 +91,10 @@ def _cmd_run(args) -> int:
             f"ppr={ppr_text}, censored={res.censored_nodes}"
         )
     if args.trace:
-        (scenario,) = cells(config)
-        env_key = scenario.environment_key()
         for index in range(args.runs):
-            seed = derive_run_seed(args.seed, env_key, index)
-            record = run(scenario, seed, trace=True)
             path = os.path.join(args.out, f"trace_run{index}.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                _write_trace(fh, record)
+                _write_trace(fh, config, index)
     print(f"wrote {args.out}/data.csv and {args.out}/summary.json")
     return 0
 
@@ -120,21 +116,24 @@ def _cmd_check_table1(args) -> int:
     return 0 if report.ok else 1
 
 
-def _write_trace(stream, record) -> None:
+def _write_trace(stream, config, index: int):
+    """Run `index` of the one-cell sweep `config`, traced, as CSV; returns its record."""
+    (scenario,) = cells(config)
+    seed = derive_run_seed(config.base_seed, scenario.environment_key(), index)
+    record = run(scenario, seed, trace=True)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
     for slot, half, channel, kind, sender, receiver, pr in record.trace:
         writer.writerow([slot, half, channel, kind, sender,
                          "" if receiver is None else receiver, pr])
+    return record
 
 
 def _cmd_trace(args) -> int:
-    scenario = _scenario_from_args(args)
-    seed = derive_run_seed(args.seed, scenario.environment_key(), args.run_index)
-    record = run(scenario, seed, trace=True)
+    config = one_cell_sweep(_scenario_from_args(args), 1, args.seed)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
-        _write_trace(out, record)
+        record = _write_trace(out, config, args.run_index)
     finally:
         if args.out:
             out.close()

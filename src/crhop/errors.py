@@ -1,4 +1,4 @@
-"""Exception types raised across the simulator."""
+"""Exception types raised across the simulator, and the reading of input files."""
 
 
 class CrhopError(Exception):
@@ -23,3 +23,12 @@ class UndefinedPprError(CrhopError, RuntimeError):
 
 class InvalidComparisonError(CrhopError, ValueError):
     """Paired comparison attempted between results with mismatched seed sets."""
+
+
+def read_input(path: str) -> str:
+    """Text of an input file; one that cannot be read is an InvalidParameterError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameterError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None

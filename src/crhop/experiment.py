@@ -21,7 +21,7 @@ from itertools import product
 
 from .activity import RATE_TABLE, TABLE_UTILIZATION, ActivityRates, utilization
 from .engine import Scenario, run
-from .errors import GenerationFailureError, InvalidParameterError
+from .errors import GenerationFailureError, InvalidParameterError, read_input
 from .handshake import HANDSHAKE_KINDS
 from .metrics import ExperimentResult, summarize
 from .protocols import STRATEGY_KINDS
@@ -343,23 +343,24 @@ def emit_plotdata(results, grouping: str | None = None) -> str:
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a "key = value" configuration file; '#' starts a comment."""
     mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidParameterError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_input(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidParameterError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        mapping[key.strip()] = value.strip()
     return mapping
 
 
 def load_rates_file(path: str) -> tuple[tuple[float, float], ...]:
     """JSON list of [lambda_x, lambda_y] pairs overriding the built-in table."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    rows = tuple((float(lx), float(ly)) for lx, ly in data)
+    text = read_input(path)
+    try:
+        rows = tuple((float(lx), float(ly)) for lx, ly in json.loads(text))
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{path}: expected a JSON list of [lambda_x, lambda_y] pairs") from None
     if not rows:
         raise InvalidParameterError(f"{path}: empty rates table")
     return rows
@@ -372,6 +373,13 @@ def _items(parse):
 
 def _mode_entry(text: str):
     return text if text == "sym" else int(text)
+
+
+def _boolean(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
 # Configuration-file key -> parser of its value text. Each key names the
@@ -391,7 +399,7 @@ CONFIG_KEYS = {
     "radio_range": float,
     "completion_mode": str,
     "emca_window": parse_emca_window,
-    "share_unconfirmed_links": lambda text: text.lower() in ("1", "true", "yes", "on"),
+    "share_unconfirmed_links": _boolean,
     "rates_file": load_rates_file,
 }
 

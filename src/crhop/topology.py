@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import GenerationFailureError, InvalidParameterError
+from .errors import GenerationFailureError, InvalidParameterError, read_input
 
 DEFAULT_ATTEMPT_BUDGET = 10_000
 
@@ -96,15 +96,15 @@ def from_positions(positions: list[tuple[float, float]], radio_range: float) -> 
 def load_positions(path: str) -> list[tuple[float, float]]:
     """Read "id x y" lines (meters); returns positions ordered by node id."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise InvalidParameterError(f"{path}:{lineno}: expected 'id x y', got {line!r}")
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
+    for lineno, line in enumerate(read_input(path).splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            node, x, y = line.split()
+            rows.append((int(node), float(x), float(y)))
+        except ValueError:
+            raise InvalidParameterError(f"{path}:{lineno}: expected 'id x y', got {line!r}") from None
     rows.sort()
     ids = [r[0] for r in rows]
     if ids != list(range(len(ids))):

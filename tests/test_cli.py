@@ -63,6 +63,34 @@ def test_trace_emits_transcript(tmp_path, capsys):
     assert "TUNE" in kinds and "D-REQ" in kinds
 
 
+def test_trace_writes_the_run_trace_of_the_same_cell(tmp_path, capsys):
+    # symmetric cells clear m, so --m must not change the traced run
+    flags = ["--mode", "sym", "--m", "3", "--nodes", "3", "--channels", "4", "--seed", "2"]
+    assert main(["trace", *flags, "--out", str(tmp_path / "trace.csv")]) == 0
+    assert main(["run", *flags, "--runs", "1", "--trace", "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "run" / "trace_run0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, content", [
+    pytest.param(["run", "--rates", "{path}"], None, id="rates-missing"),
+    pytest.param(["run", "--rates", "{path}"], "[[1]]", id="rates-malformed"),
+    pytest.param(["run", "--positions", "{path}"], None, id="positions-missing"),
+    pytest.param(["run", "--positions", "{path}"], "0 a 1\n", id="positions-malformed"),
+    pytest.param(["sweep", "--config", "{path}"], None, id="config-missing"),
+    pytest.param(["check-table1", "--rates", "{path}"], None, id="table1-rates-missing"),
+])
+def test_bad_input_file_exits_2(argv, content, tmp_path, capsys):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    argv = [str(path) if a == "{path}" else a for a in argv]
+    if argv[0] != "check-table1":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
 def test_invalid_arguments_return_error(capsys, tmp_path):
     code = main([
         "run", "--mode", "asym", "--m", "40", "--nodes", "3", "--channels", "10",
