@@ -1,0 +1,68 @@
+"""Engine invariants over random small scenarios."""
+
+import math
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crhop.activity import ACTIVITY_CLASSES
+from crhop.engine import COMPLETION_MODES, Scenario, run
+from crhop.handshake import D_REQ, HANDSHAKE_KINDS, HANDSHAKE_SIZES
+from crhop.protocols import STRATEGY_KINDS
+
+
+@st.composite
+def runs(draw):
+    channels = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(["sym", "asym"]))
+    k = draw(st.integers(1, channels)) if mode == "asym" else None
+    scenario = Scenario(
+        nodes=draw(st.integers(1, 6)),
+        channels=channels,
+        mode=mode,
+        m=draw(st.integers(1, k)) if k else None,
+        per_node_size=k,
+        activity=draw(st.sampled_from(ACTIVITY_CLASSES)),
+        protocol=draw(st.sampled_from(STRATEGY_KINDS)),
+        handshake=draw(st.sampled_from(HANDSHAKE_KINDS)),
+        completion_mode=draw(st.sampled_from(COMPLETION_MODES)),
+        emca_window=draw(st.sampled_from([math.inf, 2.0])),
+        share_unconfirmed_links=draw(st.booleans()),
+        max_slots=draw(st.integers(1, 300)),
+        # the small area makes single-hop placements, the larger one multihop
+        area=draw(st.sampled_from([(100.0, 100.0), (250.0, 250.0)])),
+    )
+    return scenario, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs())
+def test_run_record_invariants(case):
+    scenario, seed = case
+    record = run(scenario, seed)
+    traced = run(scenario, seed, trace=True)
+    assert record.trace is None
+    assert replace(traced, trace=None) == record
+
+    messages = [row for row in traced.trace if row[3] != "TUNE"]
+    assert record.packets == len(messages)
+    # a rendezvous is a pair's first handshake; lone D-REQs have no receiver
+    pairs = {frozenset((s, r)) for _, _, _, kind, s, r, _ in messages if kind == D_REQ and r is not None}
+    assert record.rendezvous == len(pairs)
+
+    n, budget = scenario.nodes, 2 * scenario.max_slots
+    assert record.packets >= HANDSHAKE_SIZES[scenario.handshake] * record.rendezvous
+    assert record.rendezvous <= n * (n - 1) // 2
+    last = {node for slot, half, _, _, s, r, _ in messages if (slot, half) == (scenario.max_slots, 2)
+            for node in (s, r)}
+    for node, (ttr, censored) in enumerate(zip(record.ttr_half_slots, record.censored)):
+        if n == 1:
+            assert (ttr, censored) == (0, False)
+            continue
+        assert 0 < ttr <= budget
+        if censored:
+            assert ttr == budget
+        elif ttr == budget:
+            # only a node that completed in the run's last half-slot
+            assert node in last
