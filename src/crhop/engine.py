@@ -65,8 +65,8 @@ from .topology import Topology, from_positions, generate_topology
 
 COMPLETION_MODES = ("active", "responder-only", "silent")
 
-# Default geometry keeps rejection-sampled connected topologies reachable for
-# up to ~20 nodes at 100 m range; see generate_topology's attempt budget.
+# Default geometry: connected placements are rarest near N = 6-12 (about 1 in
+# 200 attempts), well within generate_topology's attempt budget at any N.
 DEFAULT_AREA = (400.0, 400.0)
 DEFAULT_RANGE = 100.0
 

@@ -108,12 +108,15 @@ def one_cell_sweep(scenario: Scenario, runs: int, base_seed: int) -> SweepConfig
     """The sweep whose only cell is `scenario`.
 
     The cell equals `scenario` except in symmetric mode, where cells() clears
-    m and per_node_size as it does for every symmetric cell.
+    m and per_node_size as it does for every symmetric cell; the sweep's
+    per_node_size is cleared too, so its summary echo describes that cell.
     """
     axes = {axis: (getattr(scenario, name),) for axis, name in AXES.items()}
+    shared = {name: getattr(scenario, name) for name in SHARED_FIELDS}
     if scenario.mode == "asym":
         axes["modes"] = (scenario.m,)
-    shared = {name: getattr(scenario, name) for name in SHARED_FIELDS}
+    else:
+        shared["per_node_size"] = None
     return SweepConfig(**axes, runs=runs, base_seed=base_seed, **shared)
 
 

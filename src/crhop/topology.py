@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import GenerationFailureError, InvalidParameterError, read_input
 
 DEFAULT_ATTEMPT_BUDGET = 10_000
+FIRST_BATCH, MAX_BATCH = 4, 64  # few at first: a batch's work past its first hit is wasted
+
+
+def unit_disk_adjacency(points: np.ndarray, radio_range: float) -> np.ndarray:
+    """Adjacency of (..., n, 2) points: distinct pairs with dx*dx + dy*dy <= range*range."""
+    x, y = np.moveaxis(points, -1, 0).copy()
+    dx, dy = x[..., :, None] - x[..., None, :], y[..., :, None] - y[..., None, :]
+    squared = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+    return (squared <= radio_range * radio_range) & ~np.eye(points.shape[-2], dtype=bool)
+
+
+def connected(adjacency: np.ndarray) -> np.ndarray:
+    """Whether each (..., n, n) adjacency is connected: reach from node 0, one hop per matmul."""
+    links = (adjacency | np.eye(adjacency.shape[-1], dtype=bool)).astype(np.float32)
+    reached = links[..., :1, :]
+    while not np.array_equal(grown := (reached @ links > 0).astype(np.float32), reached):
+        reached = grown
+    return reached.all(axis=(-2, -1))
 
 
 class Topology:
@@ -20,18 +36,13 @@ class Topology:
     """
 
     def __init__(self, positions: list[tuple[float, float]], radio_range: float):
-        self.positions = tuple((float(x), float(y)) for x, y in positions)
+        points = np.array(positions, dtype=float).reshape(len(positions), 2)
+        self.positions = tuple(map(tuple, points.tolist()))
         self.radio_range = float(radio_range)
-        n = len(self.positions)
-        neighbors = [set() for _ in range(n)]
-        for i in range(n):
-            xi, yi = self.positions[i]
-            for j in range(i + 1, n):
-                xj, yj = self.positions[j]
-                if math.dist((xi, yi), (xj, yj)) <= self.radio_range:
-                    neighbors[i].add(j)
-                    neighbors[j].add(i)
-        self.neighbors = tuple(frozenset(s) for s in neighbors)
+        self.adjacency = unit_disk_adjacency(points, self.radio_range)
+        ends = np.cumsum(self.adjacency.sum(axis=1)).tolist()
+        peers = np.nonzero(self.adjacency)[1].tolist()
+        self.neighbors = tuple(frozenset(peers[a:b]) for a, b in zip([0] + ends, ends))
 
     @property
     def node_count(self) -> int:
@@ -41,17 +52,7 @@ class Topology:
         return j in self.neighbors[i]
 
     def is_connected(self) -> bool:
-        n = self.node_count
-        if n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in self.neighbors[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
+        return bool(connected(self.adjacency))
 
 
 def generate_topology(
@@ -63,9 +64,9 @@ def generate_topology(
 ) -> Topology:
     """Uniform placement over the area, resampled wholesale until connected.
 
-    Raises GenerationFailureError when the attempt budget runs out, which
-    flags the (node_count, area, radio_range) combination as infeasible for
-    rejection sampling.
+    Returns the first connected of at most max_attempts attempts, drawn k at a
+    time as uniform(size=(k, n, 2)), the values of k size=(n, 2) draws (so rng
+    ends past it). GenerationFailureError flags an infeasible scenario.
     """
     if node_count < 1:
         raise InvalidParameterError(f"node_count must be >= 1, got {node_count}")
@@ -74,11 +75,14 @@ def generate_topology(
     width, height = area
     if width <= 0 or height <= 0:
         raise InvalidParameterError(f"area sides must be positive, got {area}")
-    for _ in range(max_attempts):
-        pts = rng.uniform((0.0, 0.0), (width, height), size=(node_count, 2))
-        topo = Topology([tuple(p) for p in pts], radio_range)
-        if topo.is_connected():
-            return topo
+    drawn = 0
+    while drawn < max_attempts:
+        size = min(max(drawn, FIRST_BATCH), MAX_BATCH, max_attempts - drawn)
+        points = rng.uniform((0.0, 0.0), (width, height), size=(size, node_count, 2))
+        hits = np.flatnonzero(connected(unit_disk_adjacency(points, radio_range)))
+        if hits.size:
+            return Topology(points[hits[0]], radio_range)
+        drawn += size
     raise GenerationFailureError(
         f"no connected placement of {node_count} nodes in {width}x{height} "
         f"at range {radio_range} within {max_attempts} attempts"

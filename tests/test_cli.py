@@ -71,6 +71,15 @@ def test_trace_writes_the_run_trace_of_the_same_cell(tmp_path, capsys):
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "run" / "trace_run0.csv").read_bytes()
 
 
+def test_symmetric_run_summary_ignores_cleared_m_and_k(tmp_path, capsys):
+    # the symmetric cell runs the full pool, so its summary echoes no k either
+    flags = ["run", "--mode", "sym", "--nodes", "3", "--channels", "4", "--seed", "2", "--runs", "1"]
+    assert main([*flags, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*flags, "--m", "3", "--k", "2", "--out", str(tmp_path / "mk")]) == 0
+    for name in ("data.csv", "summary.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "mk" / name).read_bytes()
+
+
 @pytest.mark.parametrize("argv, content", [
     pytest.param(["run", "--rates", "{path}"], None, id="rates-missing"),
     pytest.param(["run", "--rates", "{path}"], "[[1]]", id="rates-malformed"),

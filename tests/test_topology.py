@@ -1,10 +1,14 @@
 """Topology generation and position import tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crhop.errors import GenerationFailureError, InvalidParameterError
-from crhop.topology import from_positions, generate_topology, load_positions
+from crhop.topology import Topology, from_positions, generate_topology, load_positions
 
 
 def bfs_connected(topo):
@@ -25,6 +29,67 @@ def bfs_connected(topo):
     return len(seen) == n
 
 
+def reference_topology(node_count, area, radio_range, rng, max_attempts):
+    """The per-attempt sampler: one size=(n, 2) draw per attempt, math.dist
+    adjacency, BFS connectivity. Returns (attempt, positions, neighbors) of
+    the first connected attempt (counted from 1), or None."""
+    for attempt in range(1, max_attempts + 1):
+        pts = [tuple(p) for p in rng.uniform((0.0, 0.0), area, size=(node_count, 2))]
+        neighbors = [
+            frozenset(j for j in range(node_count) if j != i and math.dist(pts[i], pts[j]) <= radio_range)
+            for i in range(node_count)
+        ]
+        seen, stack = {0}, [0]
+        while stack:
+            for j in neighbors[stack.pop()] - seen:
+                seen.add(j)
+                stack.append(j)
+        if len(seen) == node_count:
+            return attempt, tuple(pts), tuple(neighbors)
+    return None
+
+
+def assert_matches_reference(node_count, area, radio_range, seed, max_attempts):
+    expected = reference_topology(node_count, area, radio_range, np.random.default_rng(seed), max_attempts)
+    rng = np.random.default_rng(seed)
+    if expected is None:
+        with pytest.raises(GenerationFailureError):
+            generate_topology(node_count, area, radio_range, rng, max_attempts=max_attempts)
+        return
+    topo = generate_topology(node_count, area, radio_range, rng, max_attempts=max_attempts)
+    assert topo.positions == expected[1]
+    assert topo.neighbors == expected[2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    node_count=st.integers(1, 30),
+    width=st.floats(10.0, 1000.0),
+    height=st.floats(10.0, 1000.0),
+    range_share=st.floats(0.1, 0.8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_sampler_matches_per_attempt_reference(node_count, width, height, range_share, seed):
+    radio_range = range_share * max(width, height)
+    assert_matches_reference(node_count, (width, height), radio_range, seed, max_attempts=300)
+
+
+@pytest.mark.parametrize("node_count", [10, 50, 100])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_sampler_matches_reference_at_default_geometry(node_count, seed):
+    assert_matches_reference(node_count, (400.0, 400.0), 100.0, seed, max_attempts=400)
+
+
+def test_attempt_budget_is_exact():
+    area, seed = (400.0, 400.0), 0
+    j, positions, _ = reference_topology(10, area, 100.0, np.random.default_rng(seed), 1000)
+    assert j > 8 and j % 4  # inside a batch, not at its end
+    with pytest.raises(GenerationFailureError):
+        generate_topology(10, area, 100.0, np.random.default_rng(seed), max_attempts=j - 1)
+    topo = generate_topology(10, area, 100.0, np.random.default_rng(seed), max_attempts=j)
+    assert topo.positions == positions
+
+
 def test_single_node_trivially_connected():
     topo = generate_topology(1, (100.0, 100.0), 10.0, np.random.default_rng(0))
     assert topo.node_count == 1
@@ -35,6 +100,11 @@ def test_single_node_trivially_connected():
 def test_unit_disk_boundary():
     inside = from_positions([(0.0, 0.0), (99.0, 0.0)], 100.0)
     assert inside.adjacent(0, 1) and inside.adjacent(1, 0)
+    # exactly at range is adjacent, one ulp beyond is not
+    for far in [(100.0, 0.0), (60.0, 80.0)]:
+        assert from_positions([(0.0, 0.0), far], 100.0).adjacent(0, 1)
+    beyond = Topology([(0.0, 0.0), (float(np.nextafter(100.0, 200.0)), 0.0)], 100.0)
+    assert not beyond.adjacent(0, 1) and not beyond.is_connected()
     with pytest.raises(InvalidParameterError):
         from_positions([(0.0, 0.0), (101.0, 0.0)], 100.0)
 
