@@ -6,21 +6,19 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import fields
+from dataclasses import replace
 
 from .activity import ACTIVITY_CLASSES
-from .engine import COMPLETION_MODES, Scenario, run
-from .errors import CrhopError
+from .engine import COMPLETION_MODES, run
+from .errors import CrhopError, GenerationFailureError, InvalidParameterError
 from .experiment import (
+    AXES,
     CONFIG_KEYS,
     cells,
     check_table1,
     config_from_mapping,
     load_rates_file,
-    one_cell_sweep,
-    parse_area,
     parse_config_file,
-    parse_emca_window,
     run_sweep,
 )
 from .handshake import HANDSHAKE_KINDS
@@ -30,58 +28,59 @@ from .topology import load_positions
 
 TRACE_COLUMNS = ("slot", "half", "channel", "kind", "sender", "receiver", "pr")
 
-# Scenario flags whose text needs more than argparse's conversion. They are
-# parsed in _scenario_from_args rather than as argparse types, so that a bad
-# value reaches main as a CrhopError and exits 2 with a message.
-_FLAG_PARSERS = {
-    "area": parse_area,
-    "emca_window": parse_emca_window,
-    "rates_table": load_rates_file,
-    "positions": lambda path: tuple(load_positions(path)),
-}
-
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per Scenario field, stored under the field's name, plus --seed.
+    """One flag per Scenario field, plus --seed, each storing its text under the
+    configuration key it sets (--m sets modes, --positions is read apart).
 
     A flag left unset keeps the field's Scenario default.
     """
-    parser.add_argument("--protocol", default="mdmca", choices=STRATEGY_KINDS)
-    parser.add_argument("--handshake", default="3wh", choices=HANDSHAKE_KINDS)
-    parser.add_argument("--nodes", type=int, default=3)
-    parser.add_argument("--channels", type=int, default=10)
+    parser.add_argument("--protocol", dest="protocols", default="mdmca", choices=STRATEGY_KINDS)
+    parser.add_argument("--handshake", dest="handshakes", default="3wh", choices=HANDSHAKE_KINDS)
+    parser.add_argument("--nodes", default="3")
+    parser.add_argument("--channels", default="10")
     parser.add_argument("--mode", default="sym", choices=["sym", "asym"])
-    parser.add_argument("--m", type=int, help="similarity ratio for asym mode")
-    parser.add_argument("--k", dest="per_node_size", metavar="K", type=int,
+    parser.add_argument("--m", help="similarity ratio for asym mode")
+    parser.add_argument("--k", dest="per_node_size", metavar="K",
                         help="per-node set size for asym mode")
-    parser.add_argument("--activity", default="zero", choices=ACTIVITY_CLASSES)
-    parser.add_argument("--max-slots", type=int)
+    parser.add_argument("--activity", dest="activities", default="zero", choices=ACTIVITY_CLASSES)
+    parser.add_argument("--max-slots")
     parser.add_argument("--area", help="WxH in meters, e.g. 400x400")
-    parser.add_argument("--range", dest="radio_range", type=float)
+    parser.add_argument("--range", dest="radio_range")
     parser.add_argument("--completion-mode", choices=COMPLETION_MODES)
     parser.add_argument("--emca-window", help="slots a completed memca node keeps responding")
-    parser.add_argument("--share-unconfirmed", dest="share_unconfirmed_links", action="store_true",
+    parser.add_argument("--share-unconfirmed", dest="share_unconfirmed_links",
+                        action="store_const", const="true",
                         help="let nodes propagate direct links before confirming them")
-    parser.add_argument("--rates", dest="rates_table", metavar="RATES",
+    parser.add_argument("--rates", dest="rates_file", metavar="RATES",
                         help="JSON rates file overriding the built-in table")
     parser.add_argument("--positions", help="'id x y' position file (skips random topology)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", dest="base_seed", metavar="SEED", default="1")
 
 
-def _scenario_from_args(args) -> Scenario:
-    given = {f.name: getattr(args, f.name) for f in fields(Scenario)}
-    scenario = Scenario(**{
-        name: _FLAG_PARSERS[name](value) if name in _FLAG_PARSERS else value
-        for name, value in given.items()
-        if value is not None
-    })
-    scenario.validate()
-    return scenario
+def _one_cell_config(args):
+    """The one-cell SweepConfig that run/trace flags describe."""
+    text = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
+    if args.m is not None:
+        text["modes"] = args.m
+    config = config_from_mapping(text)
+    if any(len(getattr(config, axis)) != 1 for axis in AXES):
+        raise InvalidParameterError("run and trace take one value per flag")
+    if args.mode == "sym":
+        # a symmetric cell runs the full pool, whatever --m and --k say
+        config = replace(config, modes=("sym",), per_node_size=None)
+    elif config.modes == ("sym",):
+        raise InvalidParameterError("asym mode needs --m, an integer similarity ratio")
+    if args.positions is not None:
+        config = replace(config, positions=tuple(load_positions(args.positions)))
+    return config
 
 
 def _cmd_run(args) -> int:
-    config = one_cell_sweep(_scenario_from_args(args), args.runs, args.seed)
+    config = _one_cell_config(args)
     results = run_sweep(config, args.out)
+    if not results:
+        raise GenerationFailureError(f"the cell is infeasible: see infeasible_cells in {args.out}/summary.json")
     for res in results:
         ppr_text = "undefined" if res.ppr is None else f"{res.ppr:.3f}"
         print(
@@ -91,7 +90,7 @@ def _cmd_run(args) -> int:
             f"ppr={ppr_text}, censored={res.censored_nodes}"
         )
     if args.trace:
-        for index in range(args.runs):
+        for index in range(config.runs):
             path = os.path.join(args.out, f"trace_run{index}.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 _write_trace(fh, config, index)
@@ -104,7 +103,8 @@ def _cmd_sweep(args) -> int:
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
     config = config_from_mapping(overrides, config)
     results = run_sweep(config, args.out)
-    print(f"{len(results)} cells -> {args.out}/data.csv")
+    infeasible = len(cells(config)) - len(results)
+    print(f"{len(results)} cells, {infeasible} infeasible -> {args.out}/data.csv")
     return 0
 
 
@@ -130,7 +130,9 @@ def _write_trace(stream, config, index: int):
 
 
 def _cmd_trace(args) -> int:
-    config = one_cell_sweep(_scenario_from_args(args), 1, args.seed)
+    if args.run_index < 0:
+        raise InvalidParameterError(f"run index must be >= 0, got {args.run_index}")
+    config = _one_cell_config(args)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         record = _write_trace(out, config, args.run_index)
@@ -150,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario cell")
     _add_scenario_flags(p_run)
-    p_run.add_argument("--runs", type=int, default=30)
+    p_run.add_argument("--runs", default="30")
     p_run.add_argument("--trace", action="store_true",
                        help="also write trace_run<i>.csv transcripts into --out")
     p_run.add_argument("--out", required=True)

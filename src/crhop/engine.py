@@ -130,7 +130,11 @@ class Scenario:
             raise InvalidParameterError(f"unknown completion mode {self.completion_mode!r}")
         if self.max_slots < 1:
             raise InvalidParameterError(f"max_slots must be >= 1, got {self.max_slots}")
-        if self.emca_window <= 0:
+        if not all(0 < side < math.inf for side in self.area):
+            raise InvalidParameterError(f"area sides must be finite and positive, got {self.area}")
+        if not self.radio_range > 0:
+            raise InvalidParameterError(f"radio_range must be positive, got {self.radio_range}")
+        if not self.emca_window > 0:
             raise InvalidParameterError("emca_window must be positive (use inf for unbounded)")
         if self.positions is not None and len(self.positions) != self.nodes:
             raise InvalidParameterError("positions, when given, must list every node")

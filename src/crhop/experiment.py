@@ -104,22 +104,6 @@ def cells(config: SweepConfig) -> list[Scenario]:
     return out
 
 
-def one_cell_sweep(scenario: Scenario, runs: int, base_seed: int) -> SweepConfig:
-    """The sweep whose only cell is `scenario`.
-
-    The cell equals `scenario` except in symmetric mode, where cells() clears
-    m and per_node_size as it does for every symmetric cell; the sweep's
-    per_node_size is cleared too, so its summary echo describes that cell.
-    """
-    axes = {axis: (getattr(scenario, name),) for axis, name in AXES.items()}
-    shared = {name: getattr(scenario, name) for name in SHARED_FIELDS}
-    if scenario.mode == "asym":
-        axes["modes"] = (scenario.m,)
-    else:
-        shared["per_node_size"] = None
-    return SweepConfig(**axes, runs=runs, base_seed=base_seed, **shared)
-
-
 def scenario_descriptor(scenario: Scenario, base_seed: int) -> dict:
     return {
         "protocol": scenario.protocol,
@@ -278,7 +262,6 @@ class Table1Check:
 @dataclass(frozen=True)
 class Table1Report:
     checks: tuple[Table1Check, ...]
-    tolerance: float
 
     @property
     def ok(self) -> bool:
@@ -296,21 +279,16 @@ class Table1Report:
         return out
 
 
-def check_table1(
-    table: tuple[tuple[float, float], ...] | None = None,
-    expected: tuple[float, ...] | None = None,
-    tolerance: float = 0.01,
-) -> Table1Report:
-    """Recompute every channel's utilization and diff against the rounded row."""
+def check_table1(table: tuple[tuple[float, float], ...] | None = None) -> Table1Report:
+    """Recompute every channel's utilization and diff against its rounded row, within 0.01."""
     rows = RATE_TABLE if table is None else tuple(table)
-    want = TABLE_UTILIZATION if expected is None else tuple(expected)
-    if len(rows) != len(want):
+    if len(rows) != len(TABLE_UTILIZATION):
         raise InvalidParameterError("rates and expected utilization rows differ in length")
     checks = []
-    for i, ((lx, ly), u_expected) in enumerate(zip(rows, want), start=1):
+    for i, ((lx, ly), u_expected) in enumerate(zip(rows, TABLE_UTILIZATION), start=1):
         u = utilization(ActivityRates(lx, ly))
-        checks.append(Table1Check(i, lx, ly, u, u_expected, abs(u - u_expected) <= tolerance))
-    return Table1Report(tuple(checks), tolerance)
+        checks.append(Table1Check(i, lx, ly, u, u_expected, abs(u - u_expected) <= 0.01))
+    return Table1Report(tuple(checks))
 
 
 def plot_rows(results, grouping: str | None = None) -> list[dict]:

@@ -70,11 +70,11 @@ def generate_topology(
     """
     if node_count < 1:
         raise InvalidParameterError(f"node_count must be >= 1, got {node_count}")
-    if radio_range <= 0:
+    if not radio_range > 0:
         raise InvalidParameterError(f"radio_range must be positive, got {radio_range}")
     width, height = area
-    if width <= 0 or height <= 0:
-        raise InvalidParameterError(f"area sides must be positive, got {area}")
+    if not (0 < width < np.inf and 0 < height < np.inf):
+        raise InvalidParameterError(f"area sides must be finite and positive, got {area}")
     drawn = 0
     while drawn < max_attempts:
         size = min(max(drawn, FIRST_BATCH), MAX_BATCH, max_attempts - drawn)

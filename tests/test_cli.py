@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from crhop.cli import main
-from crhop.experiment import SweepConfig, run_sweep
+from crhop.cli import _one_cell_config, build_parser, main
+from crhop.engine import Scenario
+from crhop.experiment import SweepConfig, cells, run_sweep
 
 
 def test_check_table1_exit_code(capsys):
@@ -80,6 +81,79 @@ def test_symmetric_run_summary_ignores_cleared_m_and_k(tmp_path, capsys):
         assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "mk" / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("mode", [
+    pytest.param({"mode": "sym", "m": None, "per_node_size": None}, id="sym"),
+    pytest.param({"mode": "asym", "m": 2, "per_node_size": 4}, id="asym"),
+])
+def test_every_scenario_flag_reaches_its_cell(command, mode, tmp_path):
+    rates = tmp_path / "rates.json"
+    rates.write_text("[[1.0, 1.0]]")
+    positions = tmp_path / "positions.txt"
+    positions.write_text("0 0 0\n1 50 0\n2 100 0\n")
+    args = build_parser().parse_args([
+        command, "--protocol", "memca", "--handshake", "2wh", "--nodes", "3", "--channels", "6",
+        "--mode", mode["mode"], "--m", "2", "--k", "4", "--activity", "mix",
+        "--max-slots", "700", "--area", "300x200", "--range", "90",
+        "--completion-mode", "silent", "--emca-window", "4", "--share-unconfirmed",
+        "--rates", str(rates), "--positions", str(positions), "--seed", "9",
+        *(["--runs", "2", "--out", str(tmp_path / "out")] if command == "run" else []),
+    ])
+    config = _one_cell_config(args)
+    assert config.base_seed == 9 and (command == "trace" or config.runs == 2)
+    assert cells(config) == [Scenario(
+        nodes=3, channels=6, activity="mix", protocol="memca", handshake="2wh",
+        area=(300.0, 200.0), radio_range=90.0, max_slots=700, completion_mode="silent",
+        emca_window=4.0, share_unconfirmed_links=True, rates_table=((1.0, 1.0),),
+        positions=((0.0, 0.0), (50.0, 0.0), (100.0, 0.0)), **mode,
+    )]
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("flags", [
+    ["--nodes", "3,10"], ["--channels", "4,5"], ["--mode", "asym", "--m", "2,3"], ["--nodes", ""],
+])
+def test_run_and_trace_take_one_value_per_flag(command, flags, tmp_path, capsys):
+    assert main([command, *flags, "--max-slots", "50", "--out", str(tmp_path / "x")]) == 2
+    assert "one value per flag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "--area", "nanx400"], id="area-nan"),
+    pytest.param(["run", "--area", "infx400"], id="area-inf"),
+    pytest.param(["run", "--range", "nan"], id="range-nan"),
+    pytest.param(["run", "--emca-window", "nan"], id="emca-window-nan"),
+    pytest.param(["sweep", "--config", "{cfg}"], id="config-radio-range-nan"),
+    pytest.param(["trace", "--run-index", "-1"], id="negative-run-index"),
+])
+def test_out_of_range_value_exits_2(argv, tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("nodes = 3\nruns = 1\nradio_range = nan\n")
+    argv = [str(cfg) if a == "{cfg}" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_infeasible_run_exits_2_and_still_writes_its_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--nodes", "3", "--area", "1000x1000", "--range", "1", "--runs", "1",
+                 "--out", str(out)]) == 2
+    assert "infeasible_cells" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(summary["infeasible_cells"]) == 1 and summary["cells"] == []
+    assert (out / "data.csv").exists()
+
+
+def test_sweep_line_counts_infeasible_cells(tmp_path, capsys):
+    # a lone node is always connected; three nodes 1 m apart at most never are
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("protocols = mdmca\nhandshakes = 3wh\nnodes = 1, 3\nruns = 1\n"
+                   "max_slots = 50\narea = 1000x1000\nradio_range = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
+    assert "1 cells, 1 infeasible ->" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, content", [
     pytest.param(["run", "--rates", "{path}"], None, id="rates-missing"),
     pytest.param(["run", "--rates", "{path}"], "[[1]]", id="rates-malformed"),
@@ -101,12 +175,14 @@ def test_bad_input_file_exits_2(argv, content, tmp_path, capsys):
 
 
 def test_invalid_arguments_return_error(capsys, tmp_path):
-    code = main([
-        "run", "--mode", "asym", "--m", "40", "--nodes", "3", "--channels", "10",
-        "--out", str(tmp_path / "x"),
-    ])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    # m out of range, m missing, and an m that is not a similarity ratio
+    for m_flags in (["--m", "40"], [], ["--m", "sym"]):
+        code = main([
+            "run", "--mode", "asym", *m_flags, "--nodes", "3", "--channels", "10",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--area", "400"], ["--emca-window", "abc"]])

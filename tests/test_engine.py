@@ -1,5 +1,7 @@
 """Slotted engine tests."""
 
+import math
+
 import pytest
 
 from conftest import CHAIN_POSITIONS, PAIR_POSITIONS, ScriptedElection
@@ -217,7 +219,9 @@ class TestValidation:
         for field, value in [
             ("nodes", 0), ("channels", 0), ("mode", "partial"), ("activity", "stormy"),
             ("protocol", "jumpstay"), ("handshake", "4wh"), ("max_slots", 0),
-            ("completion_mode", "zombie"),
+            ("completion_mode", "zombie"), ("area", (math.nan, 400.0)), ("area", (math.inf, 400.0)),
+            ("area", (400.0, 0.0)), ("radio_range", math.nan), ("radio_range", 0.0),
+            ("emca_window", math.nan),
         ]:
             with pytest.raises(InvalidParameterError):
                 Scenario(**{**good, field: value}).validate()
@@ -225,6 +229,8 @@ class TestValidation:
             Scenario(**{**good, "mode": "asym", "m": 11}).validate()
         with pytest.raises(InvalidParameterError):
             Scenario(**{**good, "positions": ((0.0, 0.0),)}).validate()
+        # every pair is adjacent, and completed memca nodes respond forever
+        Scenario(**good, radio_range=math.inf, emca_window=math.inf).validate()
 
     def test_generation_failure_surfaces(self, monkeypatch):
         import crhop.engine as engine_mod

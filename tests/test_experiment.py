@@ -8,7 +8,6 @@ import math
 import pytest
 
 from crhop.activity import RATE_TABLE
-from crhop.engine import Scenario
 from crhop.errors import InvalidParameterError
 from crhop.experiment import (
     SweepConfig,
@@ -17,7 +16,6 @@ from crhop.experiment import (
     config_from_mapping,
     data_csv_text,
     emit_plotdata,
-    one_cell_sweep,
     parse_config_file,
     plot_rows,
     run_cell,
@@ -104,15 +102,6 @@ class TestSweep:
         for name in ("data.csv", "summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
 
-    @pytest.mark.parametrize("mode", [{"mode": "sym"}, {"mode": "asym", "m": 2, "per_node_size": 4}])
-    def test_one_cell_sweep_runs_its_scenario(self, mode):
-        scenario = Scenario(nodes=3, channels=6, activity="mix", protocol="memca", handshake="2wh",
-                            area=(300.0, 200.0), radio_range=90.0, max_slots=700,
-                            completion_mode="silent", emca_window=4.0,
-                            share_unconfirmed_links=True, rates_table=((1.0, 1.0),),
-                            positions=((0.0, 0.0), (50.0, 0.0), (100.0, 0.0)), **mode)
-        assert cells(one_cell_sweep(scenario, 2, 9)) == [scenario]
-
     def test_run_seeds_reproducible(self):
         assert derive_run_seed(1, "env", 0) == derive_run_seed(1, "env", 0)
         assert derive_run_seed(1, "env", 0) != derive_run_seed(1, "env", 1)
@@ -145,7 +134,7 @@ class TestCheckTable1:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
-            check_table1(table=((1.0, 1.0),), expected=(0.5, 0.5))
+            check_table1(table=((1.0, 1.0),))
 
 
 class TestPlotData:

@@ -146,6 +146,10 @@ def test_invalid_parameters():
         generate_topology(3, (100.0, 100.0), 0.0, rng)
     with pytest.raises(InvalidParameterError):
         generate_topology(3, (0.0, 100.0), 10.0, rng)
+    for area, radio_range in [((100.0, 100.0), math.nan), ((math.nan, 100.0), 10.0),
+                              ((100.0, math.inf), 10.0)]:
+        with pytest.raises(InvalidParameterError):
+            generate_topology(3, area, radio_range, rng)
 
 
 def test_position_file_round_trip(tmp_path):
