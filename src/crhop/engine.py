@@ -21,11 +21,12 @@ Time advances in synchronized 1-second slots, each split into two half-slots
 The loop runs in blocks of half-slots. At the start of a block every node
 that is not silent hands over its channels for the whole block
 (`strategy.hops`) and every channel its busy bits at the block's half-slot
-instants (`ChannelProcess.busy_at`). The procedure above then runs only on
-the half-slots where two idle, non-silent nodes share a channel (on every
-half-slot when tracing). On the others nothing can happen but lone D-REQs
-from incomplete nodes on idle channels, which are counted from the block
-arrays. Blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS.
+instants (`ChannelProcess.busy_at`). The procedure above then runs only for
+the nodes that, on a half-slot, have an adjacent non-silent node tuned to
+their idle channel (every node on every half-slot when tracing). Every other
+idle node forms a cluster of its own, where nothing can happen but a lone
+D-REQ if it is incomplete; those are counted from the block arrays. Blocks
+start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS.
 
 A run is deterministic given (scenario, seed): all randomness flows through
 labeled substreams of the run seed, and environment streams (topology,
@@ -148,21 +149,14 @@ class Scenario:
         and termination knobs so paired comparisons reuse topology, channel
         assignment and occupancy traces.
         """
-        if self.rates_table is None:
-            rates_tag = "default"
-        else:
-            blob = repr(self.rates_table).encode("utf-8")
-            rates_tag = hashlib.sha256(blob).hexdigest()[:12]
-        if self.positions is None:
-            pos_tag = "random"
-        else:
-            blob = repr(self.positions).encode("utf-8")
-            pos_tag = hashlib.sha256(blob).hexdigest()[:12]
+        def tag(value, default: str) -> str:
+            return default if value is None else hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:12]
+
         k = self.channels if self.per_node_size is None else self.per_node_size
         return (
             f"N={self.nodes};C={self.channels};mode={self.mode};m={self.m};k={k};"
-            f"act={self.activity};area={self.area[0]}x{self.area[1]};"
-            f"range={self.radio_range};rates={rates_tag};pos={pos_tag}"
+            f"act={self.activity};area={self.area[0]}x{self.area[1]};range={self.radio_range};"
+            f"rates={tag(self.rates_table, 'default')};pos={tag(self.positions, 'random')}"
         )
 
 
@@ -332,13 +326,14 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
         for channel, process in processes.items():
             busy[channel] = process.busy_at(times)
         idle = ~busy[hops, span]
-        # A half-slot needs the full procedure only where two idle live nodes
-        # share a channel (or on every half-slot, for the trace); everywhere
-        # else each idle node is alone, and nodes on busy channels do nothing.
-        listeners = np.bincount((hops * width + span)[idle], minlength=busy.size)
-        visit = (listeners.reshape(busy.shape) > 1).any(axis=0) | trace
-        heard = (idle | trace) & visit
-        lone = idle & ~visit  # where a live node sends a lone D-REQ, if incomplete
+        # A node is in a cluster of two or more only where an adjacent live
+        # node shares its idle channel (busy tunings read as channel 0, which
+        # is no channel); the trace visits every node.
+        on = np.where(idle, hops, 0).astype(np.min_scalar_type(len(processes)))
+        meets = on[:, None, :] == on[None, :, :]
+        meets &= topology.adjacency[np.ix_(live, live)][:, :, None]
+        heard = (idle & meets.any(axis=1)) | trace
+        lone = idle & ~heard  # where a live node sends a lone D-REQ, if incomplete
         stops = {}  # node id -> half-slots of the block it spent incomplete
         # (half-slot, live row) pairs the visits read, in half-slot then id order
         at, who = np.nonzero(heard.T)

@@ -61,10 +61,9 @@ class NeighborTables:
         if sender == self.owner:
             raise InvalidParameterError("a node cannot merge its own message")
         self.dnl.add(sender)
-        self.inl.discard(sender)
-        for peer in dnl | inl:
-            if peer != self.owner and peer not in self.dnl:
-                self.inl.add(peer)
+        self.inl |= dnl | inl
+        self.inl -= self.dnl
+        self.inl.discard(self.owner)
 
 
 def run_handshake(

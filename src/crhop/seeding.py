@@ -13,11 +13,14 @@ handshake axes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 
+# Labels ("topology", "pr/<ch>", "strategy/<i>", ...) repeat across every run.
+@functools.lru_cache(maxsize=4096)
 def _label_words(label: str) -> tuple[int, ...]:
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))

@@ -109,6 +109,8 @@ def load_positions(path: str) -> list[tuple[float, float]]:
             rows.append((int(node), float(x), float(y)))
         except ValueError:
             raise InvalidParameterError(f"{path}:{lineno}: expected 'id x y', got {line!r}") from None
+        if not np.isfinite(rows[-1][1:]).all():
+            raise InvalidParameterError(f"{path}:{lineno}: coordinates must be finite, got {line!r}")
     rows.sort()
     ids = [r[0] for r in rows]
     if ids != list(range(len(ids))):

@@ -174,6 +174,16 @@ def test_bad_input_file_exits_2(argv, content, tmp_path, capsys):
     assert err.startswith("error:") and str(path) in err
 
 
+@pytest.mark.parametrize("line", ["1 nan 0", "1 inf 0"])
+def test_non_finite_position_exits_2_naming_its_line(line, tmp_path, capsys):
+    path = tmp_path / "positions.txt"
+    path.write_text(f"0 0 0\n{line}\n")
+    argv = ["run", "--nodes", "2", "--positions", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ") and "Warning" not in err
+
+
 def test_invalid_arguments_return_error(capsys, tmp_path):
     # m out of range, m missing, and an m that is not a similarity ratio
     for m_flags in (["--m", "40"], [], ["--m", "sym"]):

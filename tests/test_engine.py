@@ -1,6 +1,7 @@
 """Slotted engine tests."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -111,6 +112,44 @@ class TestClusters:
         assert _clusters([0, 1, 2, 3, 4], topo) == [[0, 1, 2, 3, 4]]
         assert _clusters([0, 1, 3, 4], topo) == [[0, 1], [3, 4]]
         assert _clusters([0, 2, 4], topo) == [[0], [2], [4]]
+
+    def test_untraced_clusters_see_only_nodes_with_an_adjacent_peer(self, monkeypatch):
+        # Without silence every member _clusters receives must have an
+        # adjacent member: a node alone on its channel, or whose channel
+        # mates are all out of range, sends its lone D-REQ from the arrays.
+        import crhop.engine
+
+        real, seen = crhop.engine._clusters, []
+
+        def recording(member_ids, topology):
+            seen.append((list(member_ids), topology))
+            return real(member_ids, topology)
+
+        monkeypatch.setattr(crhop.engine, "_clusters", recording)
+        sc = Scenario(nodes=20, channels=20, mode="asym", m=2, activity="high",
+                      protocol="mmca", handshake="2wh", max_slots=200)
+        for seed in range(3):
+            run(sc, seed)
+        assert seen
+        for members, topo in seen:
+            assert all(any(topo.adjacent(i, j) for j in members) for i in members)
+
+
+# Dense networks: one channel holds several clusters at once, and nodes fall
+# silent mid-block (silent mode, or memca past its window). The traced run
+# visits every node on every half-slot, so it is the reference.
+@pytest.mark.parametrize("nodes", [30, 50])
+@pytest.mark.parametrize("area", [(70.0, 70.0), (400.0, 400.0)], ids=["single-hop", "multihop"])
+@pytest.mark.parametrize("behaviour", [
+    dict(protocol="mdmca", handshake="3wh", completion_mode="silent"),
+    dict(protocol="memca", handshake="2wh", emca_window=2),
+], ids=["silent", "memca-window"])
+def test_dense_untraced_run_equals_traced(nodes, area, behaviour):
+    sc = Scenario(nodes=nodes, channels=3, mode="sym", activity="mix", area=area,
+                  max_slots=150, **behaviour)
+    record = run(sc, 5)
+    assert not all(record.censored)
+    assert replace(run(sc, 5, trace=True), trace=None) == record
 
 
 class TestChainPropagation:
