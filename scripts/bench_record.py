@@ -4,8 +4,8 @@
     python3 scripts/bench_record.py PARENT CHANGE --pr N \\
         [--seed 1] [--seconds 40] [--pairs 1] [--out BENCH_<N>.json]
 
-PARENT and CHANGE are the roots of two checkouts. For every pair, in each
-checkout, this runs
+PARENT and CHANGE are the roots of two checkouts. For every pair, in both
+checkouts one after the other, this runs
 
   - `perfbench/run.py --workload W --trace 0` for each workload W, keeping
     the final JSON line (correct, attempted, failed and the end-to-end
@@ -78,12 +78,17 @@ def tier1(checkout: Path) -> dict:
     return {"seconds": seconds, "summary": out.strip().splitlines()[-1]}
 
 
-def measure(checkout: Path, seed: int, seconds: float) -> dict:
-    return {
-        "workloads": {name: workload(checkout, name, seed, seconds) for name in WORKLOADS},
-        "full_grid": full_grid(checkout),
-        "tier1": tier1(checkout),
-    }
+def measure_pair(sides: dict, order: tuple, seed: int, seconds: float) -> dict:
+    """One run of every figure per checkout. Both checkouts run each task
+    back to back, so the host's drift over minutes does not fall between them."""
+    out = {side: {"workloads": {}} for side in sides}
+    for name in WORKLOADS:
+        for side in order:
+            out[side]["workloads"][name] = workload(sides[side], name, seed, seconds)
+    for key, task in (("full_grid", full_grid), ("tier1", tier1)):
+        for side in order:
+            out[side][key] = task(sides[side])
+    return out
 
 
 def medians(runs: list[dict]) -> dict:
@@ -126,9 +131,10 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {side: [] for side in sides}
     for pair in range(args.pairs):
-        for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
-            runs[side].append(measure(sides[side], args.seed, args.seconds))
-            print(f"pair {pair + 1}/{args.pairs}: {side} measured", file=sys.stderr, flush=True)
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side, result in measure_pair(sides, order, args.seed, args.seconds).items():
+            runs[side].append(result)
+        print(f"pair {pair + 1}/{args.pairs} measured", file=sys.stderr, flush=True)
 
     record = {
         "pr": args.pr,
