@@ -21,12 +21,11 @@ Time advances in synchronized 1-second slots, each split into two half-slots
 The loop runs in blocks of half-slots. At the start of a block every node
 that is not silent hands over its channels for the whole block
 (`strategy.hops`) and every channel its busy bits at the block's half-slot
-instants (`ChannelProcess.busy_at`). The procedure above then runs only for
-the nodes that, on a half-slot, have an adjacent non-silent node tuned to
-their idle channel (every node on every half-slot when tracing). Every other
-idle node forms a cluster of its own, where nothing can happen but a lone
-D-REQ if it is incomplete; those are counted from the block arrays. Blocks
-start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS.
+instants (`ChannelProcess.busy_at`). The procedure above runs only for
+nodes with an adjacent non-silent node on their idle channel (every node when
+tracing, every idle node past MASK_CELLS); any other idle node is a cluster
+of one, whose lone D-REQ, if it is incomplete, is counted from the block
+arrays. Blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS.
 
 A run is deterministic given (scenario, seed): all randomness flows through
 labeled substreams of the run seed, and environment streams (topology,
@@ -73,9 +72,12 @@ DEFAULT_RANGE = 100.0
 
 # Slots per block of precomputed hops and occupancy. The first block is
 # short because many runs end within a hundred half-slots; later blocks
-# double up to the cap, which bounds the block arrays' memory.
+# double up to the cap, which bounds the block arrays' memory. The meeting
+# mask holds live nodes x live nodes x half-slots booleans; past MASK_CELLS
+# nearly every node has a neighbor to meet, so every idle node is visited.
 FIRST_BLOCK_SLOTS = 64
 MAX_BLOCK_SLOTS = 256
+MASK_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -326,13 +328,14 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
         for channel, process in processes.items():
             busy[channel] = process.busy_at(times)
         idle = ~busy[hops, span]
-        # A node is in a cluster of two or more only where an adjacent live
-        # node shares its idle channel (busy tunings read as channel 0, which
-        # is no channel); the trace visits every node.
-        on = np.where(idle, hops, 0).astype(np.min_scalar_type(len(processes)))
-        meets = on[:, None, :] == on[None, :, :]
-        meets &= topology.adjacency[np.ix_(live, live)][:, :, None]
-        heard = (idle & meets.any(axis=1)) | trace
+        # Only a node with an adjacent live node on its idle channel can be in
+        # a cluster of two or more; nodes on one channel share its busy bit.
+        heard = idle | trace
+        if idle.size * len(live) <= MASK_CELLS and not trace:
+            on = hops.astype(np.min_scalar_type(len(processes)))
+            meets = on[:, None, :] == on[None, :, :]
+            meets &= topology.adjacency[np.ix_(live, live)][:, :, None]
+            heard &= meets.any(axis=1)
         lone = idle & ~heard  # where a live node sends a lone D-REQ, if incomplete
         stops = {}  # node id -> half-slots of the block it spent incomplete
         # (half-slot, live row) pairs the visits read, in half-slot then id order
@@ -362,10 +365,8 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
                     stops[i] = k
             if len(done) == n:
                 break
-        for row, i in enumerate(live):
-            stop = stops.get(i, 0 if i in done else width)
-            if stop:
-                packets += int(np.count_nonzero(lone[row, :stop]))
+        ends = np.array([stops.get(i, 0 if i in done else width) for i in live])
+        packets += int(np.count_nonzero(lone & (span < ends[:, None])))
         slot0 += slots
 
     rendezvous = len(met_pairs)

@@ -152,6 +152,20 @@ def test_dense_untraced_run_equals_traced(nodes, area, behaviour):
     assert replace(run(sc, 5, trace=True), trace=None) == record
 
 
+@pytest.mark.parametrize("protocol", ["mdmca", "mrcs", "mmca", "memca"])
+@pytest.mark.parametrize("completion_mode", ["responder-only", "silent"])
+def test_runs_past_the_mask_budget_keep_their_records(protocol, completion_mode, monkeypatch):
+    # Past MASK_CELLS the engine visits every idle node instead of only
+    # those with an adjacent peer on their channel; records must not change.
+    import crhop.engine
+
+    sc = Scenario(nodes=8, channels=6, mode="asym", m=2, activity="high", protocol=protocol,
+                  handshake="2wh", completion_mode=completion_mode, emca_window=3, max_slots=120)
+    expected = [run(sc, seed) for seed in range(2)]
+    monkeypatch.setattr(crhop.engine, "MASK_CELLS", 1)
+    assert [run(sc, seed) for seed in range(2)] == expected
+
+
 class TestChainPropagation:
     def test_scripted_middle_first_trace(self):
         # slot 1: middle node handshakes both ends; slot 2: the remaining
