@@ -74,7 +74,7 @@ DEFAULT_RANGE = 100.0
 # short because many runs end within a hundred half-slots; later blocks
 # double up to the cap, which bounds the block arrays' memory. The meeting
 # mask holds live nodes x live nodes x half-slots booleans; past MASK_CELLS
-# nearly every node has a neighbor to meet, so every idle node is visited.
+# it is skipped and every idle node visited (same records, bounded memory).
 FIRST_BLOCK_SLOTS = 64
 MAX_BLOCK_SLOTS = 256
 MASK_CELLS = 1 << 24
