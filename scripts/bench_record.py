@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """Measure a change against its parent at both levels and write BENCH_<pr>.json.
 
-    python3 scripts/bench_record.py PARENT CHANGE --pr N \\
-        [--seed 1] [--seconds 40] [--pairs 1] [--out BENCH_<N>.json]
+    python3 scripts/bench_record.py PARENT CHANGE --pr N
 
-PARENT and CHANGE are the roots of two checkouts. For every pair, in both
-checkouts one after the other, this runs
+PARENT and CHANGE are the roots of two checkouts; the file is written to
+CHANGE/BENCH_<N>.json. For each of PAIRS pairs, in both checkouts one after
+the other, this runs
 
-  - `perfbench/run.py --workload W --trace 0` for each workload W, keeping
-    the final JSON line (correct, attempted, failed and the end-to-end
-    metrics);
+  - `perfbench/run.py --workload W --seed SEED --seconds SECONDS --trace 0`
+    for each workload W, keeping the final JSON line (correct, attempted,
+    failed and the end-to-end metrics);
   - `scripts/run_full_grid.py --runs 3` serially, timing its wall seconds
     and hashing every data.csv and summary.json it writes, so the file
     shows whether both checkouts wrote the same bytes;
   - the Tier-1 suite, timing its wall seconds and keeping its summary line.
 
-Pairs alternate which checkout runs first. The file holds every run and,
-per checkout, the median of each figure over the pairs. CRHOP_WORKERS is
-removed from every child's environment, so everything runs serially.
+Pairs alternate which checkout runs first; ten pairs is the fewest that can
+show a gain as better in nine of ten. The file holds every run and, per
+checkout, the median of each figure over the pairs. CRHOP_WORKERS is removed
+from every child's environment, so everything runs serially. A pair takes
+about ten minutes on two cores, so the whole record takes close to two hours.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from importlib import metadata
 from pathlib import Path
 
 WORKLOADS = ("grid", "setup-bound", "loop-bound")
+PAIRS = 10
+SEED = 1
+SECONDS = 40.0  # BENCHMARK.json's run_seconds
 GRID_RUNS = 3
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
@@ -46,19 +51,20 @@ def child_env(checkout: Path) -> dict:
     return env
 
 
-def timed(argv: list[str], checkout: Path) -> tuple[float, str]:
-    """Wall seconds and standard output of one child run from the checkout root."""
+def timed(argv: list[str], checkout: Path, ok: tuple[int, ...] = (0,)) -> tuple[float, str]:
+    """Wall seconds and standard output of one child run from the checkout root;
+    any exit code outside `ok` stops the record."""
     started = time.perf_counter()
     done = subprocess.run([sys.executable, *argv], cwd=checkout, env=child_env(checkout),
                           capture_output=True, text=True)
     seconds = time.perf_counter() - started
-    if done.returncode not in (0, 1):  # pytest exits 1 when a test fails; the summary says so
+    if done.returncode not in ok:
         raise SystemExit(f"{' '.join(argv)} in {checkout} exited {done.returncode}:\n{done.stderr}")
     return seconds, done.stdout
 
 
-def workload(checkout: Path, name: str, seed: int, seconds: float) -> dict:
-    argv = ["perfbench/run.py", "--workload", name, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def workload(checkout: Path, name: str) -> dict:
+    argv = ["perfbench/run.py", "--workload", name, "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
     _, out = timed(argv, checkout)
     return json.loads(out.strip().splitlines()[-1])
 
@@ -74,17 +80,17 @@ def full_grid(checkout: Path) -> dict:
 
 
 def tier1(checkout: Path) -> dict:
-    seconds, out = timed(TIER1, checkout)
+    seconds, out = timed(TIER1, checkout, ok=(0, 1))  # pytest exits 1 when a test fails; the summary says so
     return {"seconds": seconds, "summary": out.strip().splitlines()[-1]}
 
 
-def measure_pair(sides: dict, order: tuple, seed: int, seconds: float) -> dict:
+def measure_pair(sides: dict, order: tuple) -> dict:
     """One run of every figure per checkout. Both checkouts run each task
     back to back, so the host's drift over minutes does not fall between them."""
     out = {side: {"workloads": {}} for side in sides}
     for name in WORKLOADS:
         for side in order:
-            out[side]["workloads"][name] = workload(sides[side], name, seed, seconds)
+            out[side]["workloads"][name] = workload(sides[side], name)
     for key, task in (("full_grid", full_grid), ("tier1", tier1)):
         for side in order:
             out[side][key] = task(sides[side])
@@ -120,33 +126,27 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--pairs", type=int, default=1)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {side: [] for side in sides}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side, result in measure_pair(sides, order, args.seed, args.seconds).items():
+        for side, result in measure_pair(sides, order).items():
             runs[side].append(result)
-        print(f"pair {pair + 1}/{args.pairs} measured", file=sys.stderr, flush=True)
+        print(f"pair {pair + 1}/{PAIRS} measured", file=sys.stderr, flush=True)
 
     record = {
         "pr": args.pr,
         "machine": {"python": platform.python_version(), "numpy": metadata.version("numpy"),
                     "arch": platform.machine(), "cpus": os.cpu_count()},
-        "settings": {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+        "settings": {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS,
                      "full_grid_runs_per_cell": GRID_RUNS, "tier1": ["python", *TIER1]},
         "checkouts": {side: revision(path) for side, path in sides.items()},
         "median": {side: medians(side_runs) for side, side_runs in runs.items()},
         "runs": runs,
     }
-    out = args.out or args.change / f"BENCH_{args.pr}.json"
+    out = sides["change"] / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(out)
     return 0

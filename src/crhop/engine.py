@@ -151,14 +151,21 @@ class Scenario:
         and termination knobs so paired comparisons reuse topology, channel
         assignment and occupancy traces.
         """
-        def tag(value, default: str) -> str:
-            return default if value is None else hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:12]
-
+        if self.rates_table is None:
+            rates_tag = "default"
+        else:
+            blob = repr(self.rates_table).encode("utf-8")
+            rates_tag = hashlib.sha256(blob).hexdigest()[:12]
+        if self.positions is None:
+            pos_tag = "random"
+        else:
+            blob = repr(self.positions).encode("utf-8")
+            pos_tag = hashlib.sha256(blob).hexdigest()[:12]
         k = self.channels if self.per_node_size is None else self.per_node_size
         return (
             f"N={self.nodes};C={self.channels};mode={self.mode};m={self.m};k={k};"
-            f"act={self.activity};area={self.area[0]}x{self.area[1]};range={self.radio_range};"
-            f"rates={tag(self.rates_table, 'default')};pos={tag(self.positions, 'random')}"
+            f"act={self.activity};area={self.area[0]}x{self.area[1]};"
+            f"range={self.radio_range};rates={rates_tag};pos={pos_tag}"
         )
 
 
