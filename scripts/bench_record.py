@@ -19,7 +19,7 @@ Pairs alternate which checkout runs first; ten pairs is the fewest that can
 show a gain as better in nine of ten. The file holds every run and, per
 checkout, the median of each figure over the pairs. CRHOP_WORKERS is removed
 from every child's environment, so everything runs serially. A pair takes
-about ten minutes on two cores, so the whole record takes close to two hours.
+five to six minutes on two cores, so the whole record takes about an hour.
 """
 
 from __future__ import annotations
