@@ -2,7 +2,7 @@
 in cognitive-radio networks."""
 
 from .activity import ActivityRates, ChannelProcess, make_profile, state_probabilities, utilization
-from .engine import RunRecord, Scenario, build_environment, run
+from .engine import Environment, RunRecord, Scenario, build_environment, run
 from .errors import (
     CrhopError,
     GenerationFailureError,
@@ -11,7 +11,7 @@ from .errors import (
     NoChannelError,
     UndefinedPprError,
 )
-from .experiment import SweepConfig, check_table1, emit_plotdata, run_cell, run_sweep
+from .experiment import SweepConfig, check_table1, emit_plotdata, run_cell, run_group, run_sweep
 from .handshake import NeighborTables, run_handshake
 from .metrics import attr, compare, ppr, summarize
 from .protocols import make_strategy
@@ -22,6 +22,7 @@ __all__ = [
     "ActivityRates",
     "ChannelProcess",
     "CrhopError",
+    "Environment",
     "GenerationFailureError",
     "InvalidComparisonError",
     "InvalidParameterError",
@@ -47,6 +48,7 @@ __all__ = [
     "ppr",
     "run",
     "run_cell",
+    "run_group",
     "run_handshake",
     "run_sweep",
     "state_probabilities",

@@ -18,14 +18,13 @@ Time advances in synchronized 1-second slots, each split into two half-slots
 7. nodes whose tables now cover all N-1 peers record their time to
    rendezvous, in half-slots, and drop to responder-only behavior.
 
-The loop runs in blocks of half-slots. At the start of a block every node
-that is not silent hands over its channels for the whole block
-(`strategy.hops`) and every channel its busy bits at the block's half-slot
-instants (`ChannelProcess.busy_at`). The procedure above runs only for
-nodes with an adjacent non-silent node on their idle channel (every node when
-tracing, every idle node past MASK_CELLS); any other idle node is a cluster
-of one, whose lone D-REQ, if it is incomplete, is counted from the block
-arrays. Blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS.
+The loop runs in blocks of half-slots. At the start of a block the run takes
+from its Environment the channels of every node that is not silent for the
+whole block and every channel's busy bits at the block's half-slot instants.
+The procedure above runs only for nodes with an adjacent non-silent node on
+their idle channel (every node when tracing, every idle node past
+MASK_CELLS); any other idle node is a cluster of one, whose lone D-REQ, if it
+is incomplete, is counted from the block arrays. Blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS.
 
 A run is deterministic given (scenario, seed): all randomness flows through
 labeled substreams of the run seed, and environment streams (topology,
@@ -37,6 +36,19 @@ draw nobody reads affects nothing else, and silence is permanent, so a node
 that falls silent mid-block never needs the channels drawn past that point.
 Elections keep their own stream and are drawn in ascending channel order,
 then cluster order, exactly as when every half-slot is stepped in turn.
+
+An Environment is built once per (environment key, seed) and serves every
+run on it: a sweep runs all protocol x handshake cells of one environment
+on it. It holds the topology, channel sets and occupancy processes, the busy
+bits of each block (`ChannelProcess.busy_at`) and, for one strategy class at
+a time, every node's channels of each block (`strategy.hops`), all filled by
+the first run that asks. Sharing cannot change a record either: busy bits
+are a pure function of a channel's private stream and the block's instants,
+and a node's channels a pure function of its private clock stream and the
+slots before, so a run that slices its live nodes' rows out of the shared
+block reads what its own strategies would have produced; silence is
+permanent, so a silent node never needs the rows it is not given. mmca and
+memca share the class MmcaStrategy and hence one cache.
 """
 
 from __future__ import annotations
@@ -58,7 +70,7 @@ from .handshake import (
     NeighborTables,
     run_handshake,
 )
-from .protocols import STRATEGY_KINDS, make_strategy
+from .protocols import STRATEGIES, STRATEGY_KINDS, make_strategy
 from .seeding import labeled_rng, root_sequence
 from .spectrum import SpectrumMap, assign_channels
 from .topology import Topology, from_positions, generate_topology
@@ -78,6 +90,10 @@ DEFAULT_RANGE = 100.0
 FIRST_BLOCK_SLOTS = 64
 MAX_BLOCK_SLOTS = 256
 MASK_CELLS = 1 << 24
+
+# Largest channel pool a scenario may ask for: channel sets, occupancy
+# processes and busy bits grow with it (the paper's pools are 10 and 20).
+MAX_CHANNELS = 4096
 
 
 @dataclass(frozen=True)
@@ -112,8 +128,10 @@ class Scenario:
     def validate(self) -> None:
         if self.nodes < 1:
             raise InvalidParameterError(f"nodes must be >= 1, got {self.nodes}")
-        if self.channels < 1:
-            raise InvalidParameterError(f"channels must be >= 1, got {self.channels}")
+        if not 1 <= self.channels <= MAX_CHANNELS:
+            raise InvalidParameterError(
+                f"channels must be between 1 and {MAX_CHANNELS}, got {self.channels}"
+            )
         if self.mode not in ("sym", "asym"):
             raise InvalidParameterError(f"mode must be 'sym' or 'asym', got {self.mode!r}")
         if self.mode == "asym":
@@ -191,8 +209,62 @@ class RunRecord:
     trace: tuple | None = None
 
 
-def build_environment(scenario: Scenario, seed) -> tuple[Topology, SpectrumMap, dict[int, ChannelProcess]]:
-    """Topology, channel assignment and occupancy processes for one run.
+class Environment:
+    """What every run on one (environment key, seed) shares.
+
+    The topology, channel sets and occupancy processes, plus two caches that
+    runs fill block by block: each channel's busy bits, and every node's
+    channels under one strategy class (mmca and memca share a class). The
+    hops cache holds one class at a time; asking for another drops it.
+    """
+
+    def __init__(self, key: str, seed, topology: Topology, smap: SpectrumMap,
+                 processes: dict[int, ChannelProcess]):
+        self.key, self.seed, self.root = key, seed, root_sequence(seed)
+        self.topology, self.smap, self.processes = topology, smap, processes
+        self._busy: dict[tuple[int, int], np.ndarray] = {}  # (slot0, slots) -> bits
+        self._clock = self._hopped = None  # strategy class of the hops cache, slots it hopped
+        self._hops: dict[tuple[int, int], np.ndarray] = {}
+        self._strategies: list = []
+
+    def busy(self, slot0: int, slots: int) -> np.ndarray:
+        """Busy bits of every channel (row 0 unused) at the half-slots of
+        slots slot0 .. slot0 + slots - 1."""
+        block = self._busy.get((slot0, slots))
+        if block is None:
+            times = (2 * (slot0 - 1) + np.arange(2 * slots)) * 0.5
+            block = np.zeros((len(self.processes) + 1, 2 * slots), dtype=bool)
+            for channel, process in self.processes.items():
+                block[channel] = process.busy_at(times)
+            block.setflags(write=False)  # every run on the environment reads it
+            self._busy[(slot0, slots)] = block
+        return block
+
+    def hops(self, protocol: str, slot0: int, slots: int) -> np.ndarray:
+        """Every node's channels under `protocol`'s clock at the half-slots
+        of slots slot0 .. slot0 + slots - 1, in the pool's smallest dtype."""
+        if STRATEGIES[protocol] is not self._clock:
+            self._clock, self._hops, self._hopped = STRATEGIES[protocol], {}, None
+        block = self._hops.get((slot0, slots))
+        if block is None:
+            if self._hopped != slot0 - 1:  # start the clocks over and wind them to slot0
+                self._strategies = [
+                    make_strategy(protocol, cu, labeled_rng(self.root, f"strategy/{i}"))
+                    for i, cu in enumerate(self.smap.available)
+                ]
+                if slot0 > 1:
+                    for strategy in self._strategies:
+                        strategy.hops(slot0 - 1)
+            block = np.array([s.hops(slots) for s in self._strategies],
+                             dtype=np.min_scalar_type(len(self.processes)))
+            block.setflags(write=False)
+            self._hops[(slot0, slots)] = block
+            self._hopped = slot0 - 1 + slots
+        return block
+
+
+def build_environment(scenario: Scenario, seed) -> Environment:
+    """The environment of every run of (scenario's environment key, seed).
 
     A pure function of (environment axes, seed): the protocol and handshake
     choices never touch these streams.
@@ -221,7 +293,7 @@ def build_environment(scenario: Scenario, seed) -> tuple[Topology, SpectrumMap, 
         ch: ChannelProcess(ch, rates[ch - 1], labeled_rng(root, f"pr/{ch}"))
         for ch in range(1, scenario.channels + 1)
     }
-    return topo, smap, processes
+    return Environment(scenario.environment_key(), seed, topo, smap, processes)
 
 
 def _clusters(member_ids: list[int], topology: Topology) -> list[list[int]]:
@@ -246,27 +318,35 @@ def _clusters(member_ids: list[int], topology: Topology) -> list[list[int]]:
     return out
 
 
-def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunRecord:
+def run(scenario: Scenario, seed, election=None, trace: bool = False,
+        environment: Environment | None = None) -> RunRecord:
     """Simulate one run to completion or the slot budget.
 
     `election`, when given, replaces the uniform election stream: it is
     called as election(tag, options) with tag "initiator" or "responder" and
     a nonempty id list, and must return one of the options. `trace` attaches
     the per-half-slot transcript to the returned record as rows of
-    (slot, half, channel, kind, sender, receiver, pr_state).
+    (slot, half, channel, kind, sender, receiver, pr_state). `environment`,
+    when given, must come from build_environment for this scenario's
+    environment key and this seed; without it the run builds its own.
     """
-    topology, smap, processes = build_environment(scenario, seed)
-    root = root_sequence(seed)
+    if environment is None:
+        environment = build_environment(scenario, seed)
+    else:
+        scenario.validate()
+        if environment.key != scenario.environment_key() or environment.seed != seed:
+            raise InvalidParameterError(
+                "the environment was built for another environment key or seed"
+            )
+    topology = environment.topology
     n = scenario.nodes
 
     if election is None:
-        elect_rng = labeled_rng(root, "election")
+        elect_rng = labeled_rng(environment.root, "election")
 
         def election(tag, options):
             return options[int(elect_rng.integers(len(options)))]
 
-    strategies = [make_strategy(scenario.protocol, smap.available[i], labeled_rng(root, f"strategy/{i}"))
-                  for i in range(n)]
     tables = [NeighborTables(i) for i in range(n)]
     done = {0: 0} if n == 1 else {}  # complete node id -> its TTR in half-slots
     rows: list | None = [] if trace else None
@@ -329,18 +409,13 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False) -> RunReco
         width = 2 * slots  # half-slots in the block
         span = np.arange(width)
         live = [i for i in range(n) if not is_silent(i, slot0)]
-        hops = np.array([strategies[i].hops(slots) for i in live])
-        times = (2 * (slot0 - 1) + span) * 0.5
-        busy = np.zeros((len(processes) + 1, width), dtype=bool)  # row 0 unused
-        for channel, process in processes.items():
-            busy[channel] = process.busy_at(times)
-        idle = ~busy[hops, span]
+        hops = environment.hops(scenario.protocol, slot0, slots)[live]
+        idle = ~environment.busy(slot0, slots)[hops, span]
         # Only a node with an adjacent live node on its idle channel can be in
         # a cluster of two or more; nodes on one channel share its busy bit.
         heard = idle | trace
         if idle.size * len(live) <= MASK_CELLS and not trace:
-            on = hops.astype(np.min_scalar_type(len(processes)))
-            meets = on[:, None, :] == on[None, :, :]
+            meets = hops[:, None, :] == hops[None, :, :]
             meets &= topology.adjacency[np.ix_(live, live)][:, :, None]
             heard &= meets.any(axis=1)
         lone = idle & ~heard  # where a live node sends a lone D-REQ, if incomplete

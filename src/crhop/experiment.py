@@ -6,6 +6,14 @@ differ only in protocol or handshake therefore share seeds, topology and
 occupancy traces, which is what makes the emitted comparisons paired. Output
 is a data.csv plus summary.json per sweep, free of timestamps, so a rerun
 with the same configuration is byte-identical.
+
+Cells with one environment key form a group, which is one task of the sweep:
+per run index the group builds one engine Environment (topology, channel
+sets, occupancy processes, and the busy bits and per-class node channels of
+each block) and runs its cells on it in cell order. Sharing cannot change a
+record, because every stream the environment holds is private to one node or
+channel and silence is permanent (see crhop.engine), so each cell writes the
+rows it would write alone. Results and infeasible cells go back in cell order.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field, fields, make_dataclass, replace
 from itertools import product
 
 from .activity import RATE_TABLE, TABLE_UTILIZATION, ActivityRates, utilization
-from .engine import Scenario, run
+from .engine import Scenario, build_environment, run
 from .errors import GenerationFailureError, InvalidParameterError, read_input
 from .handshake import HANDSHAKE_KINDS
 from .metrics import ExperimentResult, summarize
@@ -117,21 +125,36 @@ def scenario_descriptor(scenario: Scenario, base_seed: int) -> dict:
     }
 
 
+def run_group(scenarios: list[Scenario], runs: int, base_seed: int) -> list[ExperimentResult]:
+    """Execute cells that share one environment key, R runs each, in the given order.
+
+    Per run index the environment is built once and every cell runs on it.
+    """
+    env_key = scenarios[0].environment_key()
+    seeds = [derive_run_seed(base_seed, env_key, r) for r in range(runs)]
+    records = [[] for _ in scenarios]
+    for seed in seeds:
+        environment = build_environment(scenarios[0], seed)
+        for scenario, cell_records in zip(scenarios, records):
+            cell_records.append(run(scenario, seed, environment=environment))
+    return [
+        summarize(scenario_descriptor(scenario, base_seed), seeds, cell_records)
+        for scenario, cell_records in zip(scenarios, records)
+    ]
+
+
 def run_cell(scenario: Scenario, runs: int, base_seed: int) -> ExperimentResult:
     """Execute one cell: R runs on hierarchically derived paired seeds."""
-    env_key = scenario.environment_key()
-    seeds = [derive_run_seed(base_seed, env_key, r) for r in range(runs)]
-    records = [run(scenario, s) for s in seeds]
-    return summarize(scenario_descriptor(scenario, base_seed), seeds, records)
+    return run_group([scenario], runs, base_seed)[0]
 
 
-def _run_cell_task(args):
-    scenario, runs, base_seed = args
+def _run_group_task(args):
+    scenarios, runs, base_seed = args
     try:
-        return run_cell(scenario, runs, base_seed)
+        return run_group(scenarios, runs, base_seed)
     except GenerationFailureError as exc:
-        # infeasible geometry: report the cell and let the sweep continue
-        return (scenario_descriptor(scenario, base_seed), f"{type(exc).__name__}: {exc}")
+        # infeasible geometry: report the group's cells and let the sweep continue
+        return [(scenario_descriptor(sc, base_seed), f"{type(exc).__name__}: {exc}") for sc in scenarios]
 
 
 def _fmt(value) -> str:
@@ -225,7 +248,11 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
     summary and skipped; the sweep continues. Worker count comes from the
     CRHOP_WORKERS environment variable (default 1).
     """
-    tasks = [(sc, config.runs, config.base_seed) for sc in cells(config)]
+    scenarios = cells(config)
+    groups: dict[str, list[int]] = {}  # environment key -> indices of its cells, ascending
+    for i, scenario in enumerate(scenarios):
+        groups.setdefault(scenario.environment_key(), []).append(i)
+    tasks = [([scenarios[i] for i in group], config.runs, config.base_seed) for group in groups.values()]
     text = os.environ.get(WORKERS_ENV_VAR, "1")
     try:
         workers = int(text)
@@ -233,9 +260,13 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
         raise InvalidParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {text!r}") from None
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell_task, tasks))
+            by_group = list(pool.map(_run_group_task, tasks))
     else:
-        outcomes = [_run_cell_task(t) for t in tasks]
+        by_group = [_run_group_task(t) for t in tasks]
+    outcomes = [None] * len(scenarios)  # back in cell order
+    for group, group_outcomes in zip(groups.values(), by_group):
+        for i, outcome in zip(group, group_outcomes):
+            outcomes[i] = outcome
 
     results = [o for o in outcomes if isinstance(o, ExperimentResult)]
     failures = [o for o in outcomes if not isinstance(o, ExperimentResult)]

@@ -178,11 +178,11 @@ class MmcaStrategy:
 
 # memca shares mmca's clock; it differs only in its termination policy,
 # which lives in the engine (a responder window after completion).
-_STRATEGIES = {"mdmca": MdmcaStrategy, "mrcs": MrcsStrategy, "mmca": MmcaStrategy, "memca": MmcaStrategy}
-STRATEGY_KINDS = tuple(_STRATEGIES)
+STRATEGIES = {"mdmca": MdmcaStrategy, "mrcs": MrcsStrategy, "mmca": MmcaStrategy, "memca": MmcaStrategy}
+STRATEGY_KINDS = tuple(STRATEGIES)
 
 
 def make_strategy(kind: str, channels, rng: np.random.Generator):
-    if kind not in _STRATEGIES:
+    if kind not in STRATEGIES:
         raise InvalidParameterError(f"unknown strategy kind {kind!r}")
-    return _STRATEGIES[kind](channels, rng)
+    return STRATEGIES[kind](channels, rng)

@@ -15,7 +15,7 @@ import pytest
 from conftest import CHAIN_POSITIONS, PAIR_POSITIONS, ScriptedElection
 from crhop.activity import ActivityRates, ChannelProcess, busy_fraction, state_probabilities, utilization
 from crhop.engine import Scenario, run
-from crhop.experiment import SweepConfig, cells, check_table1, run_cell, run_sweep
+from crhop.experiment import SweepConfig, cells, check_table1, run_cell, run_group, run_sweep
 from crhop.handshake import NeighborTables, run_handshake
 from crhop.metrics import compare, per_run_attr_slots
 from test_protocols import FakeRng, dual_clock_reference_trace
@@ -263,29 +263,30 @@ PAIRED_SEEDS = 50
 BASE_SEED = 90210
 
 
-def symmetric_cell(protocol, handshake, activity, runs=PAIRED_SEEDS):
-    sc = Scenario(nodes=10, channels=10, mode="sym", activity=activity,
-                  protocol=protocol, handshake=handshake, max_slots=20_000)
-    return run_cell(sc, runs, BASE_SEED)
-
-
 @pytest.fixture(scope="module")
 def handshake_cells():
-    return {
-        (hs, act): symmetric_cell("mdmca", hs, act)
-        for hs in ("2wh", "3wh")
-        for act in ("zero", "high")
-    }
+    # the two handshakes of one activity share each run's environment
+    cells = {}
+    for act in ("zero", "high"):
+        pair = [
+            Scenario(nodes=10, channels=10, mode="sym", activity=act,
+                     protocol="mdmca", handshake=hs, max_slots=20_000)
+            for hs in ("2wh", "3wh")
+        ]
+        for sc, result in zip(pair, run_group(pair, PAIRED_SEEDS, BASE_SEED)):
+            cells[(sc.handshake, act)] = result
+    return cells
 
 
 @pytest.fixture(scope="module")
 def protocol_cells():
-    def asym_cell(protocol):
-        sc = Scenario(nodes=10, channels=20, mode="asym", m=2, activity="high",
-                      protocol=protocol, handshake="3wh", max_slots=20_000)
-        return run_cell(sc, PAIRED_SEEDS, BASE_SEED)
-
-    return {p: asym_cell(p) for p in ("mdmca", "memca")}
+    protocols = ("mdmca", "memca")
+    group = [
+        Scenario(nodes=10, channels=20, mode="asym", m=2, activity="high",
+                 protocol=protocol, handshake="3wh", max_slots=20_000)
+        for protocol in protocols
+    ]
+    return dict(zip(protocols, run_group(group, PAIRED_SEEDS, BASE_SEED)))
 
 
 def test_criterion_6a_three_way_beats_two_way_attr(handshake_cells):

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from crhop.cli import _one_cell_config, build_parser, main
-from crhop.engine import Scenario
+from crhop.engine import MAX_CHANNELS, Scenario
 from crhop.experiment import SweepConfig, cells, run_sweep
 
 
@@ -132,6 +132,15 @@ def test_out_of_range_value_exits_2(argv, tmp_path, capsys):
     argv = [str(cfg) if a == "{cfg}" else a for a in argv]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_channel_count_past_the_cap_exits_2(tmp_path, capsys):
+    argv = ["run", "--nodes", "2", "--channels", str(MAX_CHANNELS + 1), "--max-slots", "5",
+            "--runs", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(MAX_CHANNELS) in err
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import CHAIN_POSITIONS, PAIR_POSITIONS, ScriptedElection
-from crhop.engine import Scenario, build_environment, run
+from crhop.engine import MAX_CHANNELS, Scenario, build_environment, run
 from crhop.errors import GenerationFailureError, InvalidParameterError
 from crhop.handshake import D_ACK, D_REQ, D_RESP
 
@@ -245,12 +245,11 @@ class TestEnvironmentPairing:
         base = dict(nodes=5, channels=10, mode="asym", m=5, activity="mix", max_slots=100)
         a = Scenario(protocol="mdmca", handshake="3wh", **base)
         b = Scenario(protocol="memca", handshake="2wh", **base)
-        topo_a, smap_a, procs_a = build_environment(a, seed)
-        topo_b, smap_b, procs_b = build_environment(b, seed)
-        assert topo_a.positions == topo_b.positions
-        assert smap_a == smap_b
+        env_a, env_b = build_environment(a, seed), build_environment(b, seed)
+        assert env_a.topology.positions == env_b.topology.positions
+        assert env_a.smap == env_b.smap
         for ch in range(1, 11):
-            assert procs_a[ch].sample_intervals(500.0) == procs_b[ch].sample_intervals(500.0)
+            assert env_a.processes[ch].sample_intervals(500.0) == env_b.processes[ch].sample_intervals(500.0)
 
     def test_environment_key_excludes_protocol_axes(self):
         base = dict(nodes=5, channels=10, mode="sym", activity="zero", max_slots=100)
@@ -284,6 +283,12 @@ class TestValidation:
             Scenario(**{**good, "positions": ((0.0, 0.0),)}).validate()
         # every pair is adjacent, and completed memca nodes respond forever
         Scenario(**good, radio_range=math.inf, emca_window=math.inf).validate()
+
+    def test_channel_count_is_capped(self):
+        good = dict(nodes=2, mode="sym", activity="zero", protocol="mdmca", handshake="3wh")
+        Scenario(channels=MAX_CHANNELS, **good).validate()
+        with pytest.raises(InvalidParameterError, match=str(MAX_CHANNELS)):
+            Scenario(channels=MAX_CHANNELS + 1, **good).validate()
 
     def test_generation_failure_surfaces(self, monkeypatch):
         import crhop.engine as engine_mod

@@ -21,6 +21,8 @@ from crhop.experiment import (
     run_cell,
     run_sweep,
 )
+from crhop.handshake import HANDSHAKE_KINDS
+from crhop.protocols import STRATEGY_KINDS
 from crhop.seeding import derive_run_seed
 
 
@@ -101,6 +103,27 @@ class TestSweep:
         run_sweep(config, str(tmp_path / "parallel"))
         for name in ("data.csv", "summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
+
+    def test_grouped_sweep_keeps_cell_order_serially_and_in_parallel(self, tmp_path, monkeypatch):
+        # nodes 2 and 3 connect within the attempt budget over a square km at
+        # 100 m; 12 never do, so the middle environment group is infeasible
+        config = tiny_config(protocols=STRATEGY_KINDS, handshakes=HANDSHAKE_KINDS, nodes=(2, 12, 3),
+                             channels=(4,), area=(1000.0, 1000.0), max_slots=200)
+        monkeypatch.delenv("CRHOP_WORKERS", raising=False)
+        results = run_sweep(config, str(tmp_path / "serial"))
+        monkeypatch.setenv("CRHOP_WORKERS", "2")
+        run_sweep(config, str(tmp_path / "parallel"))
+        for name in ("data.csv", "summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
+        feasible = [sc for sc in cells(config) if sc.nodes != 12]
+        assert [(r.scenario["protocol"], r.scenario["handshake"], r.scenario["N"]) for r in results] == [
+            (sc.protocol, sc.handshake, sc.nodes) for sc in feasible
+        ]
+        infeasible = json.loads((tmp_path / "serial" / "summary.json").read_text())["infeasible_cells"]
+        assert [(c["scenario"]["protocol"], c["scenario"]["handshake"], c["scenario"]["N"]) for c in infeasible] == [
+            (p, h, 12) for p in STRATEGY_KINDS for h in HANDSHAKE_KINDS
+        ]
+        assert all("GenerationFailureError" in c["error"] for c in infeasible)
 
     def test_run_seeds_reproducible(self):
         assert derive_run_seed(1, "env", 0) == derive_run_seed(1, "env", 0)
