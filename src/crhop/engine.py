@@ -24,7 +24,8 @@ whole block and every channel's busy bits at the block's half-slot instants.
 The procedure above runs only for nodes with an adjacent non-silent node on
 their idle channel (every node when tracing, every idle node past
 MASK_CELLS); any other idle node is a cluster of one, whose lone D-REQ, if it
-is incomplete, is counted from the block arrays. Blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS.
+is incomplete, is counted from the block arrays. Blocks start at
+FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS.
 
 A run is deterministic given (scenario, seed): all randomness flows through
 labeled substreams of the run seed, and environment streams (topology,
@@ -37,18 +38,14 @@ that falls silent mid-block never needs the channels drawn past that point.
 Elections keep their own stream and are drawn in ascending channel order,
 then cluster order, exactly as when every half-slot is stepped in turn.
 
-An Environment is built once per (environment key, seed) and serves every
-run on it: a sweep runs all protocol x handshake cells of one environment
-on it. It holds the topology, channel sets and occupancy processes, the busy
-bits of each block (`ChannelProcess.busy_at`) and, for one strategy class at
-a time, every node's channels of each block (`strategy.hops`), all filled by
-the first run that asks. Sharing cannot change a record either: busy bits
-are a pure function of a channel's private stream and the block's instants,
-and a node's channels a pure function of its private clock stream and the
-slots before, so a run that slices its live nodes' rows out of the shared
-block reads what its own strategies would have produced; silence is
-permanent, so a silent node never needs the rows it is not given. mmca and
-memca share the class MmcaStrategy and hence one cache.
+A sweep builds one Environment per (environment key, seed) and runs every
+protocol x handshake cell of that key on it. Besides the topology, channel
+sets and occupancy processes it caches each block's busy bits and, for one
+strategy class at a time (mmca and memca share one), every node's channels,
+filled by the first run that asks. Sharing cannot change a record either: a
+block is a pure function of private streams and the block's slots, so the
+live rows a run slices out are what its own clocks would have produced, and
+silence is permanent, so a silent node never needs its rows.
 """
 
 from __future__ import annotations
@@ -129,9 +126,7 @@ class Scenario:
         if self.nodes < 1:
             raise InvalidParameterError(f"nodes must be >= 1, got {self.nodes}")
         if not 1 <= self.channels <= MAX_CHANNELS:
-            raise InvalidParameterError(
-                f"channels must be between 1 and {MAX_CHANNELS}, got {self.channels}"
-            )
+            raise InvalidParameterError(f"channels must be between 1 and {MAX_CHANNELS}, got {self.channels}")
         if self.mode not in ("sym", "asym"):
             raise InvalidParameterError(f"mode must be 'sym' or 'asym', got {self.mode!r}")
         if self.mode == "asym":

@@ -7,13 +7,10 @@ occupancy traces, which is what makes the emitted comparisons paired. Output
 is a data.csv plus summary.json per sweep, free of timestamps, so a rerun
 with the same configuration is byte-identical.
 
-Cells with one environment key form a group, which is one task of the sweep:
-per run index the group builds one engine Environment (topology, channel
-sets, occupancy processes, and the busy bits and per-class node channels of
-each block) and runs its cells on it in cell order. Sharing cannot change a
-record, because every stream the environment holds is private to one node or
-channel and silence is permanent (see crhop.engine), so each cell writes the
-rows it would write alone. Results and infeasible cells go back in cell order.
+Cells with one environment key form a group, one task of the sweep: per run
+index the group builds one engine Environment and runs its cells on it in
+cell order, which cannot change a record (see crhop.engine). Results and
+infeasible cells go back in cell order.
 """
 
 from __future__ import annotations
