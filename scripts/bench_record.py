@@ -17,9 +17,10 @@ the other, this runs
 
 Pairs alternate which checkout runs first; ten pairs is the fewest that can
 show a gain as better in nine of ten. The file holds every run and, per
-checkout, the median of each figure over the pairs. CRHOP_WORKERS is removed
-from every child's environment, so everything runs serially. A pair takes
-five to six minutes on two cores, so the whole record takes about an hour.
+checkout, the median of each figure over the pairs, the commit and the line
+count of src/crhop/*.py. CRHOP_WORKERS is removed from every child's
+environment, so everything runs serially. A pair takes five to six minutes
+on two cores, so the whole record takes about an hour.
 """
 
 from __future__ import annotations
@@ -115,10 +116,13 @@ def medians(runs: list[dict]) -> dict:
 
 
 def revision(checkout: Path) -> dict:
-    """Commit of a checkout and whether its tracked files differ from it."""
+    """Commit of a checkout, whether its tracked files differ from it, and the
+    line count of its src/crhop/*.py (ROADMAP aim 2)."""
     def git(*argv):
         return subprocess.run(["git", *argv], cwd=checkout, capture_output=True, text=True).stdout.strip()
-    return {"commit": git("rev-parse", "HEAD"), "modified": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    src_lines = sum(len(path.read_bytes().splitlines()) for path in (checkout / "src" / "crhop").glob("*.py"))
+    return {"commit": git("rev-parse", "HEAD"), "modified": bool(git("status", "--porcelain", "--untracked-files=no")),
+            "src_lines": src_lines}
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from crhop.engine import Scenario
-from crhop.experiment import run_cell
+from crhop.experiment import run_group
 from crhop.metrics import compare
 
 
@@ -32,7 +32,7 @@ def main(argv=None):
                 sc = Scenario(nodes=args.nodes, channels=10, mode="sym",
                               activity=activity, protocol=protocol,
                               handshake=handshake, max_slots=20_000)
-                cells[handshake] = run_cell(sc, args.runs, args.seed)
+                cells[handshake] = run_group([sc], args.runs, args.seed)[0]
             summary = compare(cells["3wh"], cells["2wh"])
             print(f"{protocol:8} {activity:8} {cells['3wh'].attr_slots:8.1f} "
                   f"{cells['2wh'].attr_slots:8.1f} {summary.attr_ratio:6.3f} "

@@ -11,7 +11,7 @@ from .errors import (
     NoChannelError,
     UndefinedPprError,
 )
-from .experiment import SweepConfig, check_table1, emit_plotdata, run_cell, run_group, run_sweep
+from .experiment import SweepConfig, check_table1, emit_plotdata, run_group, run_sweep
 from .handshake import NeighborTables, run_handshake
 from .metrics import attr, compare, ppr, summarize
 from .protocols import make_strategy
@@ -47,7 +47,6 @@ __all__ = [
     "partition_prime",
     "ppr",
     "run",
-    "run_cell",
     "run_group",
     "run_handshake",
     "run_sweep",

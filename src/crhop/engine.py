@@ -18,34 +18,30 @@ Time advances in synchronized 1-second slots, each split into two half-slots
 7. nodes whose tables now cover all N-1 peers record their time to
    rendezvous, in half-slots, and drop to responder-only behavior.
 
-The loop runs in blocks of half-slots. At the start of a block the run takes
-from its Environment the channels of every node that is not silent for the
-whole block and every channel's busy bits at the block's half-slot instants.
-The procedure above runs only for nodes with an adjacent non-silent node on
-their idle channel (every node when tracing, every idle node past
+The loop runs in blocks of half-slots. Block b covers the same slots in every
+run: blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS, and a
+run reads its last block only up to its budget. At the start of a block the
+run takes from its Environment the channels of every node that is not silent
+for the whole block and every channel's busy bits at the block's half-slot
+instants. The procedure above runs only for nodes with an adjacent non-silent
+node on their idle channel (every node when tracing, every idle node past
 MASK_CELLS); any other idle node is a cluster of one, whose lone D-REQ, if it
-is incomplete, is counted from the block arrays. Blocks start at
-FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS.
+is incomplete, is counted from the block arrays.
 
 A run is deterministic given (scenario, seed): all randomness flows through
 labeled substreams of the run seed, and environment streams (topology,
 channel assignment, channel occupancy) use labels that do not involve the
-protocol or handshake, so paired runs share their environment. Blocks draw
-ahead of what a run may use, which cannot change a record: each node's
-strategy stream and each channel's occupancy stream is private to it, so a
-draw nobody reads affects nothing else, and silence is permanent, so a node
-that falls silent mid-block never needs the channels drawn past that point.
-Elections keep their own stream and are drawn in ascending channel order,
-then cluster order, exactly as when every half-slot is stepped in turn.
+protocol or handshake, so paired runs share their environment. Elections keep
+their own stream and are drawn in ascending channel order, then cluster order,
+exactly as when every half-slot is stepped in turn.
 
 A sweep builds one Environment per (environment key, seed) and runs every
-protocol x handshake cell of that key on it. Besides the topology, channel
-sets and occupancy processes it caches each block's busy bits and, for one
-strategy class at a time (mmca and memca share one), every node's channels,
-filled by the first run that asks. Sharing cannot change a record either: a
-block is a pure function of private streams and the block's slots, so the
-live rows a run slices out are what its own clocks would have produced, and
-silence is permanent, so a silent node never needs its rows.
+protocol x handshake cell of that key on it; each block is drawn once, by the
+first run that asks. Neither sharing nor drawing past a run's budget or a
+node's silence can change a record: each node's strategy stream and each
+channel's occupancy stream is private to it, so a block is a pure function of
+those streams and its slots, and silence is permanent, so a silent node never
+needs its rows.
 """
 
 from __future__ import annotations
@@ -205,57 +201,51 @@ class RunRecord:
 
 
 class Environment:
-    """What every run on one (environment key, seed) shares.
-
-    The topology, channel sets and occupancy processes, plus two caches that
-    runs fill block by block: each channel's busy bits, and every node's
-    channels under one strategy class (mmca and memca share a class). The
-    hops cache holds one class at a time; asking for another drops it.
-    """
+    """What every run on one (environment key, seed) shares: the topology,
+    channel sets and occupancy processes, and the blocks drawn from them,
+    indexed by block (every node's channels for one strategy class at a time,
+    as mmca and memca share one, and each channel's busy bits)."""
 
     def __init__(self, key: str, seed, topology: Topology, smap: SpectrumMap,
                  processes: dict[int, ChannelProcess]):
         self.key, self.seed, self.root = key, seed, root_sequence(seed)
         self.topology, self.smap, self.processes = topology, smap, processes
-        self._busy: dict[tuple[int, int], np.ndarray] = {}  # (slot0, slots) -> bits
-        self._clock = self._hopped = None  # strategy class of the hops cache, slots it hopped
-        self._hops: dict[tuple[int, int], np.ndarray] = {}
+        self._busy: list[np.ndarray] = []
+        self._clock = None  # strategy class of _hops
+        self._hops: list[np.ndarray] = []
         self._strategies: list = []
 
-    def busy(self, slot0: int, slots: int) -> np.ndarray:
-        """Busy bits of every channel (row 0 unused) at the half-slots of
-        slots slot0 .. slot0 + slots - 1."""
-        block = self._busy.get((slot0, slots))
-        if block is None:
-            times = (2 * (slot0 - 1) + np.arange(2 * slots)) * 0.5
-            block = np.zeros((len(self.processes) + 1, 2 * slots), dtype=bool)
-            for channel, process in self.processes.items():
-                block[channel] = process.busy_at(times)
-            block.setflags(write=False)  # every run on the environment reads it
-            self._busy[(slot0, slots)] = block
-        return block
+    def block(self, protocol: str, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """(hops, busy) of block b: every node's channels under `protocol`'s
+        clock, in the pool's smallest dtype, and every channel's busy bits
+        (row 0 unused), at the block's half-slots.
 
-    def hops(self, protocol: str, slot0: int, slots: int) -> np.ndarray:
-        """Every node's channels under `protocol`'s clock at the half-slots
-        of slots slot0 .. slot0 + slots - 1, in the pool's smallest dtype."""
+        Every run asks for blocks 0, 1, 2, ... in turn, stopping once it
+        ends, so b never skips a block and the clocks only move forward.
+        Blocks past a run's budget are safe to draw: every stream is private
+        to one node or one channel, so the extra draws change no record.
+        """
         if STRATEGIES[protocol] is not self._clock:
-            self._clock, self._hops, self._hopped = STRATEGIES[protocol], {}, None
-        block = self._hops.get((slot0, slots))
-        if block is None:
-            if self._hopped != slot0 - 1:  # start the clocks over and wind them to slot0
-                self._strategies = [
-                    make_strategy(protocol, cu, labeled_rng(self.root, f"strategy/{i}"))
-                    for i, cu in enumerate(self.smap.available)
-                ]
-                if slot0 > 1:
-                    for strategy in self._strategies:
-                        strategy.hops(slot0 - 1)
-            block = np.array([s.hops(slots) for s in self._strategies],
-                             dtype=np.min_scalar_type(len(self.processes)))
-            block.setflags(write=False)
-            self._hops[(slot0, slots)] = block
-            self._hopped = slot0 - 1 + slots
-        return block
+            self._clock, self._hops = STRATEGIES[protocol], []
+            self._strategies = [
+                make_strategy(protocol, cu, labeled_rng(self.root, f"strategy/{i}"))
+                for i, cu in enumerate(self.smap.available)
+            ]
+        slots = min(FIRST_BLOCK_SLOTS << b, MAX_BLOCK_SLOTS)
+        if b == len(self._hops):
+            hops = np.array([s.hops(slots) for s in self._strategies],
+                            dtype=np.min_scalar_type(len(self.processes)))
+            hops.setflags(write=False)  # every run on the environment reads it
+            self._hops.append(hops)
+        if b == len(self._busy):
+            start = sum(block.shape[1] for block in self._busy)  # half-slots before block b
+            times = (start + np.arange(2 * slots)) * 0.5
+            busy = np.zeros((len(self.processes) + 1, 2 * slots), dtype=bool)
+            for channel, process in self.processes.items():
+                busy[channel] = process.busy_at(times)
+            busy.setflags(write=False)
+            self._busy.append(busy)
+        return self._hops[b], self._busy[b]
 
 
 def build_environment(scenario: Scenario, seed) -> Environment:
@@ -396,16 +386,14 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
             rows.extend((slot, half, channel, kind, s, r, OFF) for kind, s, r in messages)
         return init, responder
 
-    block_slots = FIRST_BLOCK_SLOTS
-    slot0 = 1  # first slot of the block
+    b, slot0 = 0, 1  # block index and the block's first slot
     while len(done) < n and slot0 <= scenario.max_slots:
-        slots = min(block_slots, scenario.max_slots - slot0 + 1)
-        block_slots = min(2 * block_slots, MAX_BLOCK_SLOTS)
-        width = 2 * slots  # half-slots in the block
+        hops, busy = environment.block(scenario.protocol, b)
+        width = min(busy.shape[1], 2 * (scenario.max_slots - slot0 + 1))  # half-slots within the budget
         span = np.arange(width)
         live = [i for i in range(n) if not is_silent(i, slot0)]
-        hops = environment.hops(scenario.protocol, slot0, slots)[live]
-        idle = ~environment.busy(slot0, slots)[hops, span]
+        hops = hops[live, :width]
+        idle = ~busy[hops, span]
         # Only a node with an adjacent live node on its idle channel can be in
         # a cluster of two or more; nodes on one channel share its busy bit.
         heard = idle | trace
@@ -444,7 +432,7 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
                 break
         ends = np.array([stops.get(i, 0 if i in done else width) for i in live])
         packets += int(np.count_nonzero(lone & (span < ends[:, None])))
-        slot0 += slots
+        b, slot0 = b + 1, slot0 + busy.shape[1] // 2
 
     rendezvous = len(met_pairs)
     if packets < HANDSHAKE_SIZES[scenario.handshake] * rendezvous:

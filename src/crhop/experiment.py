@@ -140,11 +140,6 @@ def run_group(scenarios: list[Scenario], runs: int, base_seed: int) -> list[Expe
     ]
 
 
-def run_cell(scenario: Scenario, runs: int, base_seed: int) -> ExperimentResult:
-    """Execute one cell: R runs on hierarchically derived paired seeds."""
-    return run_group([scenario], runs, base_seed)[0]
-
-
 def _run_group_task(args):
     scenarios, runs, base_seed = args
     try:

@@ -15,7 +15,7 @@ import pytest
 from conftest import CHAIN_POSITIONS, PAIR_POSITIONS, ScriptedElection
 from crhop.activity import ActivityRates, ChannelProcess, busy_fraction, state_probabilities, utilization
 from crhop.engine import Scenario, run
-from crhop.experiment import SweepConfig, cells, check_table1, run_cell, run_group, run_sweep
+from crhop.experiment import SweepConfig, cells, check_table1, run_group, run_sweep
 from crhop.handshake import NeighborTables, run_handshake
 from crhop.metrics import compare, per_run_attr_slots
 from test_protocols import FakeRng, dual_clock_reference_trace
@@ -341,12 +341,12 @@ def test_criterion_7_monotone_trends():
         sc = Scenario(nodes=5, channels=channels, mode="asym", m=m, per_node_size=k,
                       activity=activity, protocol="mdmca", handshake="3wh",
                       max_slots=30_000)
-        return median_attr(run_cell(sc, TREND_SEEDS, BASE_SEED))
+        return median_attr(run_group([sc], TREND_SEEDS, BASE_SEED)[0])
 
     def sym(activity):
         sc = Scenario(nodes=5, channels=10, mode="sym", activity=activity,
                       protocol="mdmca", handshake="3wh", max_slots=30_000)
-        return median_attr(run_cell(sc, TREND_SEEDS, BASE_SEED))
+        return median_attr(run_group([sc], TREND_SEEDS, BASE_SEED)[0])
 
     by_m = {m: asym(m, 20, "zero") for m in (9, 5, 2)}
     assert by_m[9] < by_m[5] < by_m[2], by_m

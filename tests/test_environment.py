@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from crhop.engine import FIRST_BLOCK_SLOTS, Scenario, build_environment, run
+from crhop.engine import FIRST_BLOCK_SLOTS, Environment, Scenario, build_environment, run
 from crhop.errors import InvalidParameterError
 from crhop.handshake import HANDSHAKE_KINDS
 from crhop.protocols import STRATEGY_KINDS
@@ -18,7 +18,7 @@ BASE = dict(
 
 def group_cells() -> list[Scenario]:
     """Cells of one environment key in sweep order (protocol-major), with
-    every completion mode, a finite memca window and a shorter budget."""
+    every completion mode, a finite memca window and shorter budgets."""
     cells = [
         Scenario(protocol=protocol, handshake=handshake, completion_mode=mode, **BASE)
         for protocol in STRATEGY_KINDS
@@ -26,8 +26,10 @@ def group_cells() -> list[Scenario]:
         for mode in ("responder-only", "silent", "active")
     ]
     cells.append(Scenario(protocol="memca", handshake="3wh", emca_window=2, **BASE))
-    # a budget ending inside the second block: later runs must rewind the clocks
+    # budgets ending inside the first and the second block: the runs after
+    # them read blocks these runs drew in full
     cells.append(Scenario(protocol="memca", handshake="2wh", **{**BASE, "max_slots": FIRST_BLOCK_SLOTS + 9}))
+    cells.append(Scenario(protocol="mdmca", handshake="3wh", **{**BASE, "max_slots": 1}))
     return cells
 
 
@@ -67,3 +69,23 @@ def test_environment_of_another_seed_or_key_is_refused():
         run(replace(sc, nodes=11), SEEDS[0], environment=environment)
     with pytest.raises(InvalidParameterError):
         run(replace(sc, activity="high"), SEEDS[0], environment=environment)
+
+
+@pytest.mark.parametrize("max_slots, seed, blocks", [
+    (BASE["max_slots"], SEEDS[0], 1),  # completes inside block 0
+    (FIRST_BLOCK_SLOTS + 9, SEEDS[1], 2),  # still running when its budget, inside block 1, ends
+])
+def test_a_run_fetches_only_the_blocks_it_simulates(max_slots, seed, blocks, monkeypatch):
+    fetched = []
+    block = Environment.block
+
+    def counted(self, protocol, b):
+        fetched.append(b)
+        return block(self, protocol, b)
+
+    monkeypatch.setattr(Environment, "block", counted)
+    record = run(Scenario(protocol="mmca", handshake="2wh", **{**BASE, "max_slots": max_slots}), seed)
+    assert any(record.censored) == (blocks == 2)
+    last = max(record.ttr_half_slots)  # the last half-slot the run simulated
+    assert (last - 1) // (2 * FIRST_BLOCK_SLOTS) == blocks - 1
+    assert fetched == list(range(blocks))

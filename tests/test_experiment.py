@@ -18,7 +18,7 @@ from crhop.experiment import (
     emit_plotdata,
     parse_config_file,
     plot_rows,
-    run_cell,
+    run_group,
     run_sweep,
 )
 from crhop.handshake import HANDSHAKE_KINDS
@@ -87,12 +87,12 @@ class TestSweep:
 
     def test_paired_seeds_across_protocol_cells(self):
         config = tiny_config(protocols=("mdmca", "mrcs"), runs=3)
-        a, b = (run_cell(sc, config.runs, config.base_seed) for sc in cells(config))
+        a, b = (run_group([sc], config.runs, config.base_seed)[0] for sc in cells(config))
         assert a.seeds == b.seeds
 
     def test_distinct_seeds_across_environment_cells(self):
         config = tiny_config(nodes=(3, 4), runs=2)
-        a, b = (run_cell(sc, config.runs, config.base_seed) for sc in cells(config))
+        a, b = (run_group([sc], config.runs, config.base_seed)[0] for sc in cells(config))
         assert set(a.seeds).isdisjoint(b.seeds)
 
     def test_parallel_sweep_writes_serial_bytes(self, tmp_path, monkeypatch):
