@@ -11,7 +11,8 @@ unconfirmed links, traces, explicit positions, a rate table with an
 absorbing channel, censored runs and single-node runs.
 
 `sweep_digests.json` does the same for the two files a sweep writes,
-`data.csv` and `summary.json`, over a few small multi-axis sweeps: both
+`data.csv` and `summary.json`, and for the `plotdata.csv` text that
+`emit_plotdata` makes of its results, over a few small multi-axis sweeps: both
 spectrum modes, several activities, area and range overrides, a finite memca
 window, shared unconfirmed links, silent completion and censored cells. The
 configuration echo in `summary.json` is part of what they pin.
@@ -33,7 +34,7 @@ from pathlib import Path
 import pytest
 
 from crhop.engine import Scenario, run
-from crhop.experiment import SweepConfig, run_sweep
+from crhop.experiment import SweepConfig, emit_plotdata, run_sweep
 
 DIGESTS = Path(__file__).with_name("digests.json")
 SWEEP_DIGESTS = Path(__file__).with_name("sweep_digests.json")
@@ -145,9 +146,11 @@ def compute(case) -> str:
 
 
 def sweep_digests(config, out_dir: Path) -> dict[str, str]:
-    """SHA-256 of every file a sweep writes, by file name."""
-    run_sweep(config, str(out_dir))
-    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in SWEEP_FILES}
+    """SHA-256 of every file a sweep writes and of its plot data, by file name."""
+    results = run_sweep(config, str(out_dir))
+    blobs = {name: (out_dir / name).read_bytes() for name in SWEEP_FILES}
+    blobs["plotdata.csv"] = emit_plotdata(results, grouping="handshake").encode("utf-8")
+    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
 
 
 def test_case_names_are_unique():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from crhop.activity import RATE_TABLE
 from crhop.cli import _one_cell_config, build_parser, main
 from crhop.engine import MAX_CHANNELS, Scenario
 from crhop.experiment import SweepConfig, cells, run_sweep
@@ -13,15 +14,23 @@ from crhop.experiment import SweepConfig, cells, run_sweep
 
 def test_check_table1_exit_code(capsys):
     assert main(["check-table1"]) == 0
-    out = capsys.readouterr().out
-    assert "CH-1:" in out and "PASS" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 21
+    assert lines[0] == "CH-1: lambda_x=1000.0 lambda_y=0.0 U=0.000 expected=0.00 ok"
+    assert lines[-1] == "table check: PASS"
 
 
 def test_check_table1_detects_corruption(tmp_path, capsys):
+    bad = [list(row) for row in RATE_TABLE]
+    bad[6] = [9.0, 0.1]  # corrupt CH-7
     rates = tmp_path / "rates.json"
-    rates.write_text(json.dumps([[1.0, 9.0]] + [[1000.0, 0.0]] * 19))
+    rates.write_text(json.dumps(bad))
     assert main(["check-table1", "--rates", str(rates)]) == 1
-    assert "MISMATCH" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "MISMATCH" in line] == [
+        "CH-7: lambda_x=9.0 lambda_y=0.1 U=0.011 expected=0.53 MISMATCH"
+    ]
+    assert lines[-1] == "table check: FAIL"
 
 
 def test_run_writes_outputs(tmp_path, capsys):
