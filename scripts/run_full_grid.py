@@ -51,7 +51,7 @@ def main(argv=None):
         started = time.time()
         results = run_sweep(config, out_dir)
         with open(os.path.join(out_dir, "plotdata.csv"), "w", encoding="utf-8") as fh:
-            fh.write(emit_plotdata(results, grouping="handshake"))
+            fh.write(emit_plotdata(results))
         print(f"{name}: {len(results)} cells in {time.time() - started:.0f}s -> {out_dir}")
     return 0
 

@@ -70,8 +70,8 @@ class ActivityRates:
     lambda_y: float
 
     def __post_init__(self):
-        if self.lambda_x < 0 or self.lambda_y < 0:
-            raise InvalidParameterError(f"rates must be nonnegative, got {self}")
+        if not (0 <= self.lambda_x < math.inf and 0 <= self.lambda_y < math.inf):
+            raise InvalidParameterError(f"rates must be finite and nonnegative, got {self}")
         if self.lambda_x + self.lambda_y == 0:
             raise InvalidParameterError("degenerate rates: lambda_x + lambda_y must be > 0")
 
@@ -140,6 +140,8 @@ class ChannelProcess:
         self.channel_id = channel_id
         self.rates = rates
         self._rng = rng
+        # Holding-time scales (OFF, ON); a zero rate holds its state forever.
+        self._scales = tuple(1.0 / r if r else math.inf for r in (rates.lambda_y, rates.lambda_x))
         # Cumulative interval end times; index parity gives the state
         # (even index = OFF interval). math.inf marks an absorbing state.
         self._ends: list[float] = []
@@ -169,10 +171,11 @@ class ChannelProcess:
         of standard variates times the alternating 1/rate scales, summed in
         order, appends exactly the ends the scalar draws would. A batch that
         holds a non-positive duration is replayed one variate at a time, so
-        the redraw takes the next variate at the same scale. Both rates must
-        be positive; an absorbing state goes through `_extend`.
+        the redraw takes the next variate at the same scale. A zero rate's
+        infinite scale makes its state absorbing: its end, and every end the
+        batch holds after it, is math.inf.
         """
-        scales = (1.0 / self.rates.lambda_y, 1.0 / self.rates.lambda_x)  # OFF, ON
+        scales = self._scales
         ends = self._ends
         while not ends or ends[-1] <= t:
             start = ends[-1] if ends else 0.0
@@ -202,10 +205,7 @@ class ChannelProcess:
         if self.rates.lambda_y == 0.0:
             return np.zeros(len(times), dtype=bool)
         first, last = float(times[0]), float(times[-1])
-        if self.rates.lambda_x == 0.0:
-            self._extend(last)
-        else:
-            self._extend_batch(last)
+        self._extend_batch(last)
         ends = self._ends
         lo = bisect_right(ends, first)
         hi = bisect_right(ends, last, lo) + 1
@@ -240,10 +240,3 @@ class ChannelProcess:
             out.append((OFF if i % 2 == 0 else ON, clipped - start))
             start = end
         return out
-
-
-def busy_fraction(intervals: list[tuple[str, float]]) -> float:
-    """Time-weighted ON fraction of an interval list."""
-    total = sum(d for _, d in intervals)
-    on = sum(d for s, d in intervals if s == ON)
-    return on / total

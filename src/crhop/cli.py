@@ -110,10 +110,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check_table1(args) -> int:
     table = load_rates_file(args.rates) if args.rates is not None else None
-    report = check_table1(table=table)
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 1
+    checks = check_table1(table=table)
+    for c in checks:
+        verdict = "ok" if c.ok else "MISMATCH"
+        print(f"CH-{c.channel}: lambda_x={c.lambda_x} lambda_y={c.lambda_y} "
+              f"U={c.computed:.3f} expected={c.expected:.2f} {verdict}")
+    passed = all(c.ok for c in checks)
+    print(f"table check: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 def _write_trace(stream, config, index: int):

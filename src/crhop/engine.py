@@ -402,7 +402,6 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
             meets &= topology.adjacency[np.ix_(live, live)][:, :, None]
             heard &= meets.any(axis=1)
         lone = idle & ~heard  # where a live node sends a lone D-REQ, if incomplete
-        stops = {}  # node id -> half-slots of the block it spent incomplete
         # (half-slot, live row) pairs the visits read, in half-slot then id order
         at, who = np.nonzero(heard.T)
         tunings = zip(at.tolist(), who.tolist(), hops[who, at].tolist(), idle[who, at].tolist())
@@ -427,10 +426,13 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
             for i in touched:
                 if i not in done and len(tables[i].dnl) + len(tables[i].inl) == n - 1:
                     done[i] = 2 * slot - 2 + half
-                    stops[i] = k
             if len(done) == n:
                 break
-        ends = np.array([stops.get(i, 0 if i in done else width) for i in live])
+        # half-slots of the block each live node spent incomplete; a node that
+        # completed at half-slot k of the block has TTR first + k (k < 0 for
+        # an earlier block, which sends none of the block's lone D-REQs)
+        first = 2 * slot0 - 1
+        ends = np.array([done.get(i, first + width) - first for i in live])
         packets += int(np.count_nonzero(lone & (span < ends[:, None])))
         b, slot0 = b + 1, slot0 + busy.shape[1] // 2
 

@@ -34,13 +34,15 @@ from .seeding import derive_run_seed
 
 WORKERS_ENV_VAR = "CRHOP_WORKERS"
 
-DATA_COLUMNS = (
-    "protocol", "handshake", "N", "C", "mode", "m", "activity", "seed",
-    "attr_slots", "ppr", "sd", "censored",
-)
+# A cell's identity columns, in output order: its scenario descriptor's keys
+# but "seed", which names the sweep's base seed.
+CELL_COLUMNS = ("protocol", "handshake", "N", "C", "mode", "m", "activity")
+DATA_COLUMNS = (*CELL_COLUMNS, "seed", "attr_slots", "ppr", "sd", "censored")
+PLOT_COLUMNS = (*CELL_COLUMNS, "metric", "value")
 
-PLOT_COLUMNS = (
-    "protocol", "handshake", "N", "C", "mode", "m", "activity", "metric", "value",
+# ExperimentResult fields a summary.json cell holds next to its scenario.
+SUMMARY_FIELDS = (
+    "attr_slots", "ppr", "attr_sd", "attr_min", "attr_max", "censored_nodes", "undefined_ppr_runs",
 )
 
 # Sweep axes in cell order, each with the Scenario field it sets. A modes
@@ -110,16 +112,9 @@ def cells(config: SweepConfig) -> list[Scenario]:
 
 
 def scenario_descriptor(scenario: Scenario, base_seed: int) -> dict:
-    return {
-        "protocol": scenario.protocol,
-        "handshake": scenario.handshake,
-        "N": scenario.nodes,
-        "C": scenario.channels,
-        "mode": scenario.mode,
-        "m": scenario.m,
-        "activity": scenario.activity,
-        "seed": base_seed,
-    }
+    """A cell's identity columns, each read from its Scenario field, and the base seed."""
+    field_of = {"N": "nodes", "C": "channels"}
+    return {**{c: getattr(scenario, field_of.get(c, c)) for c in CELL_COLUMNS}, "seed": base_seed}
 
 
 def run_group(scenarios: list[Scenario], runs: int, base_seed: int) -> list[ExperimentResult]:
@@ -157,21 +152,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def data_csv_text(results) -> str:
+def _csv_text(columns, rows) -> str:
+    """CSV text of dict rows in `columns` order; floats round-trip exactly, None is empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DATA_COLUMNS)
-    for res in results:
-        sc = res.scenario
-        writer.writerow(
-            [
-                sc["protocol"], sc["handshake"], sc["N"], sc["C"], sc["mode"],
-                _fmt(sc["m"]), sc["activity"], sc["seed"],
-                _fmt(res.attr_slots), _fmt(res.ppr), _fmt(res.attr_sd),
-                res.censored_nodes,
-            ]
-        )
+    writer.writerow(columns)
+    writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
     return buf.getvalue()
+
+
+def data_csv_text(results) -> str:
+    return _csv_text(DATA_COLUMNS, (
+        {**res.scenario, "attr_slots": res.attr_slots, "ppr": res.ppr, "sd": res.attr_sd,
+         "censored": res.censored_nodes}
+        for res in results
+    ))
 
 
 # Echoed only when set, so the summary of a sweep without them keeps its bytes.
@@ -196,16 +191,7 @@ def summary_payload(config: SweepConfig, results, failures) -> dict:
     return {
         "config": echo,
         "cells": [
-            {
-                "scenario": {k: v for k, v in res.scenario.items()},
-                "attr_slots": res.attr_slots,
-                "ppr": res.ppr,
-                "attr_sd": res.attr_sd,
-                "attr_min": res.attr_min,
-                "attr_max": res.attr_max,
-                "censored_nodes": res.censored_nodes,
-                "undefined_ppr_runs": res.undefined_ppr_runs,
-            }
+            {"scenario": res.scenario, **{name: getattr(res, name) for name in SUMMARY_FIELDS}}
             for res in results
         ],
         "infeasible_cells": [
@@ -282,27 +268,7 @@ class Table1Check:
     ok: bool
 
 
-@dataclass(frozen=True)
-class Table1Report:
-    checks: tuple[Table1Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            verdict = "ok" if c.ok else "MISMATCH"
-            out.append(
-                f"CH-{c.channel}: lambda_x={c.lambda_x} lambda_y={c.lambda_y} "
-                f"U={c.computed:.3f} expected={c.expected:.2f} {verdict}"
-            )
-        out.append(f"table check: {'PASS' if self.ok else 'FAIL'}")
-        return out
-
-
-def check_table1(table: tuple[tuple[float, float], ...] | None = None) -> Table1Report:
+def check_table1(table: tuple[tuple[float, float], ...] | None = None) -> tuple[Table1Check, ...]:
     """Recompute every channel's utilization and diff against its rounded row, within 0.01."""
     rows = RATE_TABLE if table is None else tuple(table)
     if len(rows) != len(TABLE_UTILIZATION):
@@ -311,37 +277,28 @@ def check_table1(table: tuple[tuple[float, float], ...] | None = None) -> Table1
     for i, ((lx, ly), u_expected) in enumerate(zip(rows, TABLE_UTILIZATION), start=1):
         u = utilization(ActivityRates(lx, ly))
         checks.append(Table1Check(i, lx, ly, u, u_expected, abs(u - u_expected) <= 0.01))
-    return Table1Report(tuple(checks))
+    return tuple(checks)
 
 
-def plot_rows(results, grouping: str | None = None) -> list[dict]:
-    """Long-format rows, one per (cell, metric), for external plotting."""
+def plot_rows(results) -> list[dict]:
+    """Long-format rows, one per (cell, metric), for external plotting.
+
+    Rows keep cell order within each handshake, the handshakes in name order.
+    """
     if not results:
         raise InvalidParameterError("no results to emit")
-    rows = []
-    for res in results:
-        sc = res.scenario
-        base = {
-            "protocol": sc["protocol"], "handshake": sc["handshake"], "N": sc["N"],
-            "C": sc["C"], "mode": sc["mode"], "m": sc["m"], "activity": sc["activity"],
-        }
-        rows.append(dict(base, metric="attr_slots", value=res.attr_slots))
-        rows.append(dict(base, metric="ppr", value=res.ppr))
-    if grouping is not None:
-        if grouping not in PLOT_COLUMNS:
-            raise InvalidParameterError(f"unknown grouping column {grouping!r}")
-        rows.sort(key=lambda r: (str(r[grouping]),))
+    rows = [
+        {**{c: res.scenario[c] for c in CELL_COLUMNS}, "metric": metric, "value": getattr(res, metric)}
+        for res in results
+        for metric in ("attr_slots", "ppr")
+    ]
+    rows.sort(key=lambda row: row["handshake"])
     return rows
 
 
-def emit_plotdata(results, grouping: str | None = None) -> str:
-    """CSV text in stable column order; floats round-trip exactly."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PLOT_COLUMNS)
-    for row in plot_rows(results, grouping):
-        writer.writerow([_fmt(row[c]) for c in PLOT_COLUMNS])
-    return buf.getvalue()
+def emit_plotdata(results) -> str:
+    """plotdata.csv text of `plot_rows(results)`."""
+    return _csv_text(PLOT_COLUMNS, plot_rows(results))
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -367,6 +324,8 @@ def load_rates_file(path: str) -> tuple[tuple[float, float], ...]:
         raise InvalidParameterError(f"{path}: expected a JSON list of [lambda_x, lambda_y] pairs") from None
     if not rows:
         raise InvalidParameterError(f"{path}: empty rates table")
+    if not all(math.isfinite(rate) for row in rows for rate in row):
+        raise InvalidParameterError(f"{path}: rates must be finite")
     return rows
 
 

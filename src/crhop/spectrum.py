@@ -7,7 +7,6 @@ and {1, 4, 6, 8, 9, 10}.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,27 +45,6 @@ class SpectrumMap:
 
     pool_size: int
     available: tuple[tuple[int, ...], ...]  # sorted channel ids per node
-
-    def prime_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(partition_prime(cu)[0]) for cu in self.available)
-
-    def nonprime_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(partition_prime(cu)[1]) for cu in self.available)
-
-    def common_channels(self) -> tuple[int, ...]:
-        inter = set(self.available[0])
-        for cu in self.available[1:]:
-            inter &= set(cu)
-        return tuple(sorted(inter))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pool_size": self.pool_size,
-                "available": {str(i): list(cu) for i, cu in enumerate(self.available)},
-            },
-            sort_keys=True,
-        )
 
 
 def assign_channels(

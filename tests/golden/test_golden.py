@@ -149,7 +149,7 @@ def sweep_digests(config, out_dir: Path) -> dict[str, str]:
     """SHA-256 of every file a sweep writes and of its plot data, by file name."""
     results = run_sweep(config, str(out_dir))
     blobs = {name: (out_dir / name).read_bytes() for name in SWEEP_FILES}
-    blobs["plotdata.csv"] = emit_plotdata(results, grouping="handshake").encode("utf-8")
+    blobs["plotdata.csv"] = emit_plotdata(results).encode("utf-8")
     return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
 
 

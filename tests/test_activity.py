@@ -11,8 +11,8 @@ from crhop.activity import (
     RATE_TABLE,
     TABLE_UTILIZATION,
     ActivityRates,
+    ON,
     ChannelProcess,
-    busy_fraction,
     make_profile,
     state_probabilities,
     utilization,
@@ -45,6 +45,11 @@ class TestUtilization:
     def test_negative_rates_rejected(self):
         with pytest.raises(InvalidParameterError):
             ActivityRates(-1.0, 2.0)
+
+    @pytest.mark.parametrize("lx, ly", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+    def test_non_finite_rates_rejected(self, lx, ly):
+        with pytest.raises(InvalidParameterError):
+            ActivityRates(lx, ly)
 
     def test_full_table_within_tolerance(self):
         for (lx, ly), expected in zip(RATE_TABLE, TABLE_UTILIZATION):
@@ -161,7 +166,8 @@ class TestChannelProcess:
         # Renewal-reward oracle: time-weighted ON fraction converges to U.
         for seed in range(3):
             proc = ChannelProcess(4, CH4, np.random.default_rng(100 + seed))
-            frac = busy_fraction(proc.sample_intervals(100_000.0))
+            intervals = proc.sample_intervals(100_000.0)
+            frac = sum(d for s, d in intervals if s == ON) / sum(d for _, d in intervals)
             assert abs(frac - utilization(CH4)) <= 0.02
 
     def test_is_busy_zero_class(self):

@@ -175,6 +175,8 @@ def test_sweep_line_counts_infeasible_cells(tmp_path, capsys):
 @pytest.mark.parametrize("argv, content", [
     pytest.param(["run", "--rates", "{path}"], None, id="rates-missing"),
     pytest.param(["run", "--rates", "{path}"], "[[1]]", id="rates-malformed"),
+    pytest.param(["run", "--rates", "{path}"], "[[NaN, 1.0]]", id="rates-nan"),
+    pytest.param(["run", "--rates", "{path}"], "[[Infinity, 1.0]]", id="rates-infinity"),
     pytest.param(["run", "--positions", "{path}"], None, id="positions-missing"),
     pytest.param(["run", "--positions", "{path}"], "0 a 1\n", id="positions-malformed"),
     pytest.param(["sweep", "--config", "{path}"], None, id="config-missing"),

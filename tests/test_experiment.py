@@ -133,25 +133,22 @@ class TestSweep:
 
 class TestCheckTable1:
     def test_passes_on_shipped_table(self):
-        report = check_table1()
-        assert report.ok
-        assert len(report.checks) == 20
-        assert all(c.ok for c in report.checks)
+        checks = check_table1()
+        assert len(checks) == 20
+        assert all(c.ok for c in checks)
 
     def test_reference_values(self):
-        report = check_table1()
-        ch4 = report.checks[3]
+        checks = check_table1()
+        ch4 = checks[3]
         assert ch4.computed == pytest.approx(0.867, abs=0.001)
         assert ch4.expected == 0.86
-        ch1 = report.checks[0]
+        ch1 = checks[0]
         assert ch1.computed == 0.0 and ch1.expected == 0.0
 
     def test_corrupted_rate_identified(self):
         bad = list(RATE_TABLE)
         bad[6] = (9.0, 0.1)  # corrupt CH-7
-        report = check_table1(table=tuple(bad))
-        assert not report.ok
-        failing = [c.channel for c in report.checks if not c.ok]
+        failing = [c.channel for c in check_table1(table=tuple(bad)) if not c.ok]
         assert failing == [7]
 
     def test_length_mismatch_rejected(self):
@@ -167,8 +164,8 @@ class TestPlotData:
         assert {r["metric"] for r in rows} == {"attr_slots", "ppr"}
 
     def test_grouping_by_handshake(self, tmp_path):
-        results = run_sweep(tiny_config(handshakes=("2wh", "3wh")), str(tmp_path))
-        rows = plot_rows(results, grouping="handshake")
+        results = run_sweep(tiny_config(handshakes=("3wh", "2wh")), str(tmp_path))
+        rows = plot_rows(results)
         assert [r["handshake"] for r in rows] == ["2wh", "2wh", "3wh", "3wh"]
 
     def test_round_trip_exact(self, tmp_path):
@@ -178,11 +175,6 @@ class TestPlotData:
         by_metric = {r["metric"]: r for r in parsed}
         assert float(by_metric["attr_slots"]["value"]) == results[0].attr_slots
         assert float(by_metric["ppr"]["value"]) == results[0].ppr
-
-    def test_unknown_grouping_rejected(self, tmp_path):
-        results = run_sweep(tiny_config(), str(tmp_path))
-        with pytest.raises(InvalidParameterError):
-            plot_rows(results, grouping="terrain")
 
     def test_empty_results_rejected(self):
         with pytest.raises(InvalidParameterError):

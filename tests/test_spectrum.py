@@ -1,14 +1,17 @@
 """Channel assignment and prime-partition tests."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from crhop.errors import InvalidParameterError
-from crhop.spectrum import SpectrumMap, assign_channels, is_prime, partition_prime
+from crhop.spectrum import assign_channels, is_prime, partition_prime
+
+
+def common_channels(smap):
+    """Channels every node of `smap` holds."""
+    return set.intersection(*map(set, smap.available))
 
 
 def sieve(limit):
@@ -60,12 +63,12 @@ class TestAssignChannels:
     def test_asym_intersection_exactly_m_nine(self):
         for seed in range(100):
             smap = assign_channels(5, 10, "asym", np.random.default_rng(seed), m=9)
-            assert len(smap.common_channels()) == 9
+            assert len(common_channels(smap)) == 9
 
     def test_asym_intersection_exactly_m_two_of_twenty(self):
         for seed in range(100):
             smap = assign_channels(5, 20, "asym", np.random.default_rng(seed), m=2, per_node_size=10)
-            assert len(smap.common_channels()) == 2
+            assert len(common_channels(smap)) == 2
             assert all(len(cu) == 10 for cu in smap.available)
 
     def test_asym_set_sizes_bounded(self):
@@ -73,7 +76,7 @@ class TestAssignChannels:
             smap = assign_channels(6, 10, "asym", np.random.default_rng(seed), m=2)
             for cu in smap.available:
                 assert 2 <= len(cu) <= 10
-                assert set(smap.common_channels()) <= set(cu)
+                assert common_channels(smap) <= set(cu)
 
     def test_parameter_contradictions(self):
         rng = np.random.default_rng(0)
@@ -92,18 +95,3 @@ class TestAssignChannels:
         a = assign_channels(5, 20, "asym", np.random.default_rng(9), m=5, per_node_size=12)
         b = assign_channels(5, 20, "asym", np.random.default_rng(9), m=5, per_node_size=12)
         assert a == b
-
-    def test_json_export(self):
-        smap = assign_channels(3, 10, "asym", np.random.default_rng(4), m=2, per_node_size=6)
-        payload = json.loads(smap.to_json())
-        assert payload["pool_size"] == 10
-        restored = SpectrumMap(
-            payload["pool_size"],
-            tuple(tuple(payload["available"][str(i)]) for i in range(3)),
-        )
-        assert restored == smap
-
-    def test_prime_nonprime_views(self):
-        smap = assign_channels(2, 10, "sym", np.random.default_rng(0))
-        assert smap.prime_sets()[0] == (2, 3, 5, 7)
-        assert smap.nonprime_sets()[0] == (1, 4, 6, 8, 9, 10)
