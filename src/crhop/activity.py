@@ -13,7 +13,8 @@ and the transient busy probability starting from idle at t = 0 is
     P_on(t) = U * (1 - exp(-(lambda_x + lambda_y) * t))
 
 with P_off(t) = 1 - P_on(t). Processes always start OFF, which makes
-P_on(0) = 0.
+P_on(0) = 0. A `ChannelProcess` samples one channel's trace and is read
+forward only: it keeps just the intervals ahead of the last instant it served.
 
 The module ships a 20-channel table of reference rate pairs grouped into the
 activity classes zero / low / long / high, plus a "mix" profile that cycles
@@ -127,11 +128,13 @@ def make_profile(
 
 
 class ChannelProcess:
-    """Sampled ON/OFF trace of one channel, extended lazily and never rewritten.
+    """Sampled ON/OFF trace of one channel, read forward and extended lazily.
 
     The process owns its random stream, so a trace depends only on the stream
     it was created with. Intervals are half-open [start, end) and the first
-    interval is always OFF.
+    interval is always OFF. Only the intervals not yet passed are kept: each
+    `busy_at` call drops those ending at or before its last instant, which
+    no later call may precede.
     """
 
     def __init__(self, channel_id: int, rates: ActivityRates, rng: np.random.Generator):
@@ -142,101 +145,65 @@ class ChannelProcess:
         self._rng = rng
         # Holding-time scales (OFF, ON); a zero rate holds its state forever.
         self._scales = tuple(1.0 / r if r else math.inf for r in (rates.lambda_y, rates.lambda_x))
-        # Cumulative interval end times; index parity gives the state
-        # (even index = OFF interval). math.inf marks an absorbing state.
+        # End times of the intervals not yet passed: interval _passed + i ends
+        # at _ends[i], and an even interval index is an OFF interval.
+        # math.inf marks an absorbing state.
         self._ends: list[float] = []
-
-    def _draw(self, rate: float) -> float:
-        if rate == 0.0:
-            return math.inf
-        d = self._rng.exponential(1.0 / rate)
-        while d <= 0.0:
-            d = self._rng.exponential(1.0 / rate)
-        return d
+        self._passed = 0
+        self._last = 0.0  # last instant served; no query may precede it
 
     def _extend(self, t: float) -> None:
-        while not self._ends or self._ends[-1] <= t:
-            i = len(self._ends)
-            rate = self.rates.lambda_y if i % 2 == 0 else self.rates.lambda_x
-            start = self._ends[-1] if self._ends else 0.0
-            end = start + self._draw(rate)
-            self._ends.append(end)
-            if end == math.inf:
-                return
+        """Append interval ends until one lies past t.
 
-    def _extend_batch(self, t: float) -> None:
-        """`_extend(t)` drawing its holding times in batches.
-
-        `exponential(scale)` is `scale * standard_exponential()`, so one batch
-        of standard variates times the alternating 1/rate scales, summed in
-        order, appends exactly the ends the scalar draws would. A batch that
-        holds a non-positive duration is replayed one variate at a time, so
-        the redraw takes the next variate at the same scale. A zero rate's
-        infinite scale makes its state absorbing: its end, and every end the
-        batch holds after it, is math.inf.
+        Holding times are drawn in batches. `exponential(scale)` is `scale *
+        standard_exponential()`, so one batch of standard variates times the
+        alternating 1/rate scales, summed in order, appends exactly the ends
+        one draw per interval would. A batch that holds a non-positive
+        duration is replayed one variate at a time, so the redraw takes the
+        next variate at the same scale. A zero rate's infinite scale makes its
+        state absorbing: its end, and every end the batch holds after it, is
+        math.inf.
         """
         scales = self._scales
         ends = self._ends
+        passed = self._passed
         while not ends or ends[-1] <= t:
             start = ends[-1] if ends else 0.0
             # OFF/ON pairs enough to pass t with a wide margin
             pairs = int((t - start) / (scales[0] + scales[1]) * 1.25) + 8
             draws = self._rng.standard_exponential(2 * pairs)
-            parity = len(ends) % 2
+            parity = (passed + len(ends)) % 2
             durations = (draws.reshape(pairs, 2) * (scales[parity], scales[1 - parity])).ravel()
             if durations.min() > 0.0:
                 durations[0] += start
                 ends.extend(np.cumsum(durations).tolist())
                 continue
             for x in draws.tolist():
-                d = x * scales[len(ends) % 2]
+                d = x * scales[(passed + len(ends)) % 2]
                 if d > 0.0:
                     ends.append((ends[-1] if ends else 0.0) + d)
 
     def busy_at(self, times: np.ndarray) -> np.ndarray:
-        """Busy bits at the ascending, nonnegative instants `times`.
+        """Busy bits at the ascending instants `times`, none before the last
+        instant of the previous call (nor before 0).
 
-        Equals `is_busy(t)` for each t. The trace is extended in batches,
-        which may draw past the last instant asked for; the stream is private
-        to this channel, so drawing ahead changes nothing the trace holds.
+        The trace is extended in batches, which may draw past the last instant
+        asked for; the stream is private to this channel, so drawing ahead
+        changes nothing the trace holds.
         """
-        if len(times) == 0 or times[0] < 0:
-            raise InvalidParameterError("times must be nonempty and nonnegative")
+        if len(times) == 0 or times[0] < self._last:
+            raise InvalidParameterError(
+                f"times must be nonempty and start at or after {self._last}, the last instant served"
+            )
+        last = self._last = float(times[-1])
         if self.rates.lambda_y == 0.0:
             return np.zeros(len(times), dtype=bool)
-        first, last = float(times[0]), float(times[-1])
-        self._extend_batch(last)
+        self._extend(last)
         ends = self._ends
-        lo = bisect_right(ends, first)
-        hi = bisect_right(ends, last, lo) + 1
-        window = np.fromiter(ends[lo:hi], dtype=float, count=hi - lo)
-        # interval index = lo + position in window; odd indices are ON
-        return (np.searchsorted(window, times, side="right") & 1) != (lo & 1)
-
-    def is_busy(self, t: float) -> bool:
-        """True iff t falls inside an ON interval."""
-        if t < 0:
-            raise InvalidParameterError(f"t must be nonnegative, got {t}")
-        if self.rates.lambda_y == 0.0:
-            return False
-        self._extend(t)
-        return bisect_right(self._ends, t) % 2 == 1
-
-    def sample_intervals(self, horizon: float) -> list[tuple[str, float]]:
-        """Alternating (state, duration) list covering [0, horizon].
-
-        Growing-horizon calls only ever extend the underlying trace; the
-        final interval is truncated at the horizon in the returned view.
-        """
-        if horizon <= 0:
-            raise InvalidParameterError(f"horizon must be positive, got {horizon}")
-        self._extend(horizon)
-        out = []
-        start = 0.0
-        for i, end in enumerate(self._ends):
-            if start >= horizon:
-                break
-            clipped = min(end, horizon)
-            out.append((OFF if i % 2 == 0 else ON, clipped - start))
-            start = end
-        return out
+        passed = bisect_right(ends, last)  # intervals that end by `last`
+        window = np.fromiter(ends[:passed + 1], dtype=float, count=passed + 1)
+        # interval index = _passed + position in window; odd indices are ON
+        busy = (np.searchsorted(window, times, side="right") & 1) != (self._passed & 1)
+        del ends[:passed]
+        self._passed += passed
+        return busy

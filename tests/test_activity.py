@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from crhop.activity import (
     RATE_TABLE,
     TABLE_UTILIZATION,
@@ -138,25 +139,25 @@ class TestMakeProfile:
 
 class TestChannelProcess:
     def test_zero_class_single_off_interval(self):
-        proc = ChannelProcess(1, ActivityRates(1000.0, 0.0), np.random.default_rng(0))
-        assert proc.sample_intervals(100.0) == [("off", 100.0)]
+        intervals = reference.sample_intervals([], ActivityRates(1000.0, 0.0), np.random.default_rng(0), 100.0)
+        assert intervals == [("off", 100.0)]
 
     def test_same_stream_same_intervals(self):
         a = ChannelProcess(4, CH4, np.random.default_rng(11))
         b = ChannelProcess(4, CH4, np.random.default_rng(11))
-        assert a.sample_intervals(500.0) == b.sample_intervals(500.0)
+        times = np.arange(1000) * 0.5
+        assert a.busy_at(times).tolist() == b.busy_at(times).tolist()
 
     def test_growing_horizon_extends_not_rewrites(self):
-        proc = ChannelProcess(4, CH4, np.random.default_rng(3))
-        short = proc.sample_intervals(50.0)
-        long = proc.sample_intervals(500.0)
+        ends, rng = [], np.random.default_rng(3)
+        short = reference.sample_intervals(ends, CH4, rng, 50.0)
+        long = reference.sample_intervals(ends, CH4, rng, 500.0)
         assert long[: len(short) - 1] == short[:-1]
         state, duration = long[len(short) - 1]
         assert state == short[-1][0] and duration >= short[-1][1]
 
     def test_alternates_and_positive_durations(self):
-        proc = ChannelProcess(4, CH4, np.random.default_rng(5))
-        intervals = proc.sample_intervals(200.0)
+        intervals = reference.sample_intervals([], CH4, np.random.default_rng(5), 200.0)
         assert [s for s, _ in intervals[:2]] == ["off", "on"]
         for (s1, d1), (s2, _) in zip(intervals, intervals[1:]):
             assert s1 != s2
@@ -165,48 +166,40 @@ class TestChannelProcess:
     def test_long_run_on_fraction_matches_utilization(self):
         # Renewal-reward oracle: time-weighted ON fraction converges to U.
         for seed in range(3):
-            proc = ChannelProcess(4, CH4, np.random.default_rng(100 + seed))
-            intervals = proc.sample_intervals(100_000.0)
+            intervals = reference.sample_intervals([], CH4, np.random.default_rng(100 + seed), 100_000.0)
             frac = sum(d for s, d in intervals if s == ON) / sum(d for _, d in intervals)
             assert abs(frac - utilization(CH4)) <= 0.02
 
     def test_is_busy_zero_class(self):
         proc = ChannelProcess(1, ActivityRates(1000.0, 0.0), np.random.default_rng(0))
-        assert not any(proc.is_busy(t) for t in (0.0, 0.5, 17.25, 9999.0))
+        assert not proc.busy_at(np.array([0.0, 0.5, 17.25, 9999.0])).any()
 
     def test_is_busy_starts_off(self):
         for rates in (CH4, CH2):
             proc = ChannelProcess(2, rates, np.random.default_rng(8))
-            assert proc.is_busy(0.0) is False
+            assert not proc.busy_at(np.array([0.0]))[0]
 
     def test_is_busy_frequency_matches_utilization(self):
         proc = ChannelProcess(4, CH4, np.random.default_rng(21))
         rng = np.random.default_rng(99)
-        times = rng.uniform(0.0, 100_000.0, size=20_000)
-        frac = sum(proc.is_busy(float(t)) for t in times) / len(times)
+        times = np.sort(rng.uniform(0.0, 100_000.0, size=20_000))
+        frac = proc.busy_at(times).mean()
         assert abs(frac - utilization(CH4)) <= 0.02
 
     def test_is_busy_boundaries_half_open(self):
+        ends = []
+        reference.extend(ends, CH4, np.random.default_rng(2), 50.0)
         proc = ChannelProcess(4, CH4, np.random.default_rng(2))
-        intervals = proc.sample_intervals(50.0)
-        edge = intervals[0][1]  # first OFF interval ends, ON begins
-        assert proc.is_busy(edge) is True
-        assert proc.is_busy(edge - 1e-9) is False
-        assert proc.is_busy(edge + intervals[1][1]) is False
-
-    def test_invalid_queries(self):
-        proc = ChannelProcess(4, CH4, np.random.default_rng(2))
-        with pytest.raises(InvalidParameterError):
-            proc.is_busy(-1.0)
-        with pytest.raises(InvalidParameterError):
-            proc.sample_intervals(0.0)
+        # the first OFF interval ends and ON begins at ends[0]; OFF resumes at ends[1]
+        busy = proc.busy_at(np.array([ends[0] - 1e-9, ends[0], ends[1]]))
+        assert busy.tolist() == [False, True, False]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_trace_prefix_property(self, seed):
-        proc = ChannelProcess(3, ActivityRates(0.25, 0.25), np.random.default_rng(seed))
-        first = proc.sample_intervals(30.0)
-        second = proc.sample_intervals(90.0)
+        ends, rng, rates = [], np.random.default_rng(seed), ActivityRates(0.25, 0.25)
+        first = reference.sample_intervals(ends, rates, rng, 30.0)
+        second = reference.sample_intervals(ends, rates, rng, 90.0)
         assert second[: len(first) - 1] == first[:-1]
 
 
@@ -232,7 +225,7 @@ class VariateStub:
 
 
 class TestBusyBlocks:
-    """busy_at(times) must equal is_busy(t) at every instant, block after block."""
+    """busy_at(times) must equal the scalar is_busy(t) at every instant, block after block."""
 
     RATES = (
         ActivityRates(1000.0, 0.0),  # zero class: never busy
@@ -246,17 +239,18 @@ class TestBusyBlocks:
 
     @staticmethod
     def check(rates, rng_a, rng_b, widths):
-        ref = ChannelProcess(1, rates, rng_a)
+        ref_ends = []
         blk = ChannelProcess(1, rates, rng_b)
         start = 0
         for width in widths:
             times = np.arange(start, start + width) * 0.5
             got = blk.busy_at(times)
             assert got.dtype == bool and got.shape == (width,)
-            assert got.tolist() == [ref.is_busy(float(t)) for t in times]
+            assert got.tolist() == [reference.is_busy(ref_ends, rates, rng_a, float(t)) for t in times]
             start += width
-        shared = min(len(ref._ends), len(blk._ends))
-        assert blk._ends[:shared] == ref._ends[:shared]
+        # the retained ends are the oracle's from index _passed on
+        shared = min(len(ref_ends) - blk._passed, len(blk._ends))
+        assert blk._ends[:shared] == ref_ends[blk._passed : blk._passed + shared]
 
     @pytest.mark.parametrize("rates", RATES, ids=repr)
     def test_half_slot_blocks_match_is_busy(self, rates):
@@ -282,13 +276,26 @@ class TestBusyBlocks:
         rates = ActivityRates(2.0, 4.0)
         head = [1.0, 0.0, 0.5, 0.25]
         want = [1.0 / 4.0, 1.0 / 4.0 + 0.5 / 2.0, 1.0 / 4.0 + 0.5 / 2.0 + 0.25 / 4.0]
-        ref = ChannelProcess(1, rates, VariateStub(head))
-        ref.is_busy(0.55)
-        assert ref._ends[:3] == want
+        ref_ends = []
+        reference.is_busy(ref_ends, rates, VariateStub(head), 0.55)
+        assert ref_ends[:3] == want
         self.check(rates, VariateStub(head), VariateStub(head), (1, 2, 16))
         blk = ChannelProcess(1, rates, VariateStub(head))
-        blk.busy_at(np.array([0.0, 0.5]))
-        assert blk._ends[:3] == want
+        blk.busy_at(np.array([0.0]))
+        assert (blk._passed, blk._ends[:3]) == (0, want)
+        blk.busy_at(np.array([0.5]))  # passes the two intervals ending by 0.5
+        assert (blk._passed, blk._ends[0]) == (2, want[2])
+
+    @pytest.mark.parametrize("rates", [CH4, ActivityRates(0.5, 40.0)], ids=repr)
+    def test_retained_ends_stay_within_a_block(self, rates):
+        # A full history would grow with the block index; the retained ends
+        # stay within twice the mean interval count of one block.
+        proc = ChannelProcess(4, rates, np.random.default_rng(7))
+        width = 512  # half-slots per block
+        bound = 2 * 2 * (width * 0.5) / (1.0 / rates.lambda_x + 1.0 / rates.lambda_y)
+        for b in range(200):
+            proc.busy_at((b * width + np.arange(width)) * 0.5)
+            assert len(proc._ends) <= bound, b
 
     def test_times_must_be_nonempty_and_nonnegative(self):
         proc = ChannelProcess(4, CH4, np.random.default_rng(2))
@@ -296,3 +303,11 @@ class TestBusyBlocks:
             proc.busy_at(np.array([]))
         with pytest.raises(InvalidParameterError):
             proc.busy_at(np.array([-0.5, 0.0]))
+
+    @pytest.mark.parametrize("rates", [CH4, ActivityRates(1000.0, 0.0)], ids=repr)
+    def test_times_must_not_precede_the_previous_call(self, rates):
+        proc = ChannelProcess(4, rates, np.random.default_rng(2))
+        proc.busy_at(np.array([0.0, 10.0]))
+        with pytest.raises(InvalidParameterError):
+            proc.busy_at(np.array([9.5, 10.5]))
+        proc.busy_at(np.array([10.0, 10.5]))  # may start at the previous call's last instant

@@ -1,6 +1,7 @@
 """Command-line interface smoke tests."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -71,6 +72,19 @@ def test_trace_emits_transcript(tmp_path, capsys):
     assert set(rows[0]) == {"slot", "half", "channel", "kind", "sender", "receiver", "pr"}
     kinds = {r["kind"] for r in rows}
     assert "TUNE" in kinds and "D-REQ" in kinds
+
+
+def test_trace_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main([
+        "trace", "--protocol", "mdmca", "--handshake", "2wh", "--nodes", "6", "--channels", "5",
+        "--mode", "asym", "--m", "2", "--activity", "mix", "--seed", "4", "--max-slots", "300",
+        "--out", str(out),
+    ]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1113
+    assert hashlib.sha256(data).hexdigest() == (
+        "5550e664fec9c4da48248ca19a086c405b2b2038a8a106441941b239846fa39c")
 
 
 def test_trace_writes_the_run_trace_of_the_same_cell(tmp_path, capsys):
@@ -177,6 +191,8 @@ def test_sweep_line_counts_infeasible_cells(tmp_path, capsys):
     pytest.param(["run", "--rates", "{path}"], "[[1]]", id="rates-malformed"),
     pytest.param(["run", "--rates", "{path}"], "[[NaN, 1.0]]", id="rates-nan"),
     pytest.param(["run", "--rates", "{path}"], "[[Infinity, 1.0]]", id="rates-infinity"),
+    pytest.param(["run", "--rates", "{path}"], "[[-1.0, 1.0]]", id="rates-negative"),
+    pytest.param(["run", "--rates", "{path}"], "[[0.0, 0.0]]", id="rates-degenerate"),
     pytest.param(["run", "--positions", "{path}"], None, id="positions-missing"),
     pytest.param(["run", "--positions", "{path}"], "0 a 1\n", id="positions-malformed"),
     pytest.param(["sweep", "--config", "{path}"], None, id="config-missing"),

@@ -2,10 +2,12 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crhop import engine
 from crhop.activity import ACTIVITY_CLASSES
 from crhop.engine import COMPLETION_MODES, Scenario, run
 from crhop.handshake import D_REQ, HANDSHAKE_KINDS, HANDSHAKE_SIZES
@@ -66,3 +68,26 @@ def test_run_record_invariants(case):
         elif ttr == budget:
             # only a node that completed in the run's last half-slot
             assert node in last
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs())
+def test_neighbor_tables_keep_their_invariants(case):
+    scenario, seed = case
+    handshake = engine.run_handshake
+    known: dict[int, set[int]] = {}  # owner -> its knowledge after its last handshake
+
+    def checked(kind, initiator, responder, share_unconfirmed):
+        messages = handshake(kind, initiator, responder, share_unconfirmed)
+        for tables in (initiator, responder):
+            assert tables.owner not in tables.dnl and tables.owner not in tables.inl
+            assert not tables.dnl & tables.inl
+            assert tables.confirmed <= tables.dnl
+            knowledge = tables.dnl | tables.inl
+            assert known.get(tables.owner, set()) <= knowledge
+            known[tables.owner] = knowledge
+        return messages
+
+    # patched in the body: hypothesis rejects function-scoped fixtures under @given
+    with mock.patch.object(engine, "run_handshake", checked):
+        run(scenario, seed)
