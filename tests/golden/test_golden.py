@@ -41,6 +41,7 @@ SWEEP_DIGESTS = Path(__file__).with_name("sweep_digests.json")
 SWEEP_FILES = ("data.csv", "summary.json")
 
 SMALL_AREA = (200.0, 200.0)
+WIDE_AREA = (400.0, 400.0)
 CHAIN4 = ((0.0, 0.0), (90.0, 0.0), (180.0, 0.0), (270.0, 0.0))
 STAR5 = ((100.0, 100.0), (30.0, 100.0), (170.0, 100.0), (100.0, 30.0), (100.0, 170.0))
 # Channel 1 turns busy once and never frees up (lambda_x = 0); channel 4 is
@@ -102,6 +103,12 @@ CASES = [
     _case("censored/trace", 26, trace=True, nodes=4, max_slots=1, activity="zero"),
     _case("single-node", 27, nodes=1),
     _case("single-node/trace", 27, trace=True, nodes=1, positions=((5.0, 5.0),)),
+    # Past one machine word of node ids; N=200 reaches block 2, where its
+    # meeting mask (200 x 200 x 512 cells) exceeds MASK_CELLS and is skipped.
+    _case("wide/N70/mmca/2wh", 5, nodes=70, channels=20, mode="asym", m=2,
+          area=WIDE_AREA, max_slots=2_000, protocol="mmca", handshake="2wh"),
+    _case("wide/N200/mdmca/3wh", 5, nodes=200, channels=20, mode="asym", m=2,
+          area=WIDE_AREA, max_slots=600),
 ]
 
 
