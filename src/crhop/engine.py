@@ -28,12 +28,16 @@ node on their idle channel (every node when tracing, every idle node past
 MASK_CELLS); any other idle node is a cluster of one, whose lone D-REQ, if it
 is incomplete, is counted from the block arrays.
 
+Neighbor tables, tuned sets and clusters are bitmasks of node ids (bit i is
+node i), decoded to ascending id lists only for an election or a trace row.
+
 A run is deterministic given (scenario, seed): all randomness flows through
 labeled substreams of the run seed, and environment streams (topology,
 channel assignment, channel occupancy) use labels that do not involve the
 protocol or handshake, so paired runs share their environment. Elections keep
-their own stream and are drawn in ascending channel order, then cluster order,
-exactly as when every half-slot is stepped in turn.
+their own stream, read through seeding.uniform_index, and are drawn in
+ascending channel order, then cluster order, exactly as when every half-slot
+is stepped in turn.
 
 A sweep builds one Environment per (environment key, seed) and runs every
 protocol x handshake cell of that key on it; each block is drawn once, by the
@@ -56,15 +60,9 @@ import numpy as np
 
 from .activity import ACTIVITY_CLASSES, OFF, ON, ChannelProcess, make_profile
 from .errors import InvalidParameterError
-from .handshake import (
-    D_REQ,
-    HANDSHAKE_KINDS,
-    HANDSHAKE_SIZES,
-    NeighborTables,
-    run_handshake,
-)
+from .handshake import D_REQ, HANDSHAKE_KINDS, HANDSHAKE_SIZES, NeighborTables, run_handshake
 from .protocols import STRATEGIES, STRATEGY_KINDS, make_strategy
-from .seeding import labeled_rng, root_sequence
+from .seeding import labeled_rng, root_sequence, uniform_index
 from .spectrum import SpectrumMap, assign_channels
 from .topology import Topology, from_positions, generate_topology
 
@@ -275,26 +273,30 @@ def build_environment(scenario: Scenario, seed) -> Environment:
     return Environment(scenario.environment_key(), seed, topo, smap, processes)
 
 
-def _clusters(member_ids: list[int], topology: Topology) -> list[list[int]]:
-    """Connected components of the topology restricted to member_ids."""
-    idset = set(member_ids)
-    seen: set[int] = set()
+def _clusters(members: int, neighbor_masks: list[int]) -> list[int]:
+    """Connected components, as id masks, of the topology restricted to the ids
+    in `members` (neighbor_masks[i] holds node i's neighbors), lowest id first."""
     out = []
-    for i in member_ids:
-        if i in seen:
-            continue
-        comp = []
-        stack = [i]
-        seen.add(i)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in topology.neighbors[u]:
-                if v in idset and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        out.append(sorted(comp))
+    while members:
+        frontier = members & -members
+        left = members ^ frontier  # members not reached yet
+        while frontier:
+            low = frontier & -frontier
+            reached = neighbor_masks[low.bit_length() - 1] & left
+            left ^= reached
+            frontier ^= low | reached
+        out.append(members ^ left)
+        members = left
     return out
+
+
+def _ids(mask: int) -> list[int]:
+    """The ids in an id mask, ascending."""
+    ids = []
+    while mask:
+        ids.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return ids
 
 
 def run(scenario: Scenario, seed, election=None, trace: bool = False,
@@ -314,18 +316,17 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
     else:
         scenario.validate()
         if environment.key != scenario.environment_key() or environment.seed != seed:
-            raise InvalidParameterError(
-                "the environment was built for another environment key or seed"
-            )
+            raise InvalidParameterError("the environment was built for another environment key or seed")
     topology = environment.topology
     n = scenario.nodes
 
     if election is None:
-        elect_rng = labeled_rng(environment.root, "election")
+        draw = uniform_index(labeled_rng(environment.root, "election"))
 
         def election(tag, options):
-            return options[int(elect_rng.integers(len(options)))]
+            return options[draw(len(options))]
 
+    neighbor_masks = [sum(1 << j for j in peers) for peers in topology.neighbors]
     tables = [NeighborTables(i) for i in range(n)]
     done = {0: 0} if n == 1 else {}  # complete node id -> its TTR in half-slots
     rows: list | None = [] if trace else None
@@ -333,6 +334,7 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
     # Counted apart from the tables so that the packet-floor check below
     # catches a handshake that links nothing.
     met_pairs: set[tuple[int, int]] = set()
+    quiet = 0  # nodes that may not initiate: complete, all direct links confirmed, mode not "active"
 
     def is_silent(i: int, slot: int) -> bool:
         if i not in done:
@@ -342,40 +344,34 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         # (ttr + 1) // 2 is the slot the node completed in
         return scenario.protocol == "memca" and slot > (done[i] + 1) // 2 + scenario.emca_window
 
-    def may_initiate(i: int) -> bool:
-        if scenario.completion_mode == "active":
-            return True
-        return i not in done or not tables[i].dnl <= tables[i].confirmed
-
-    def cluster_round(cluster_ids: list[int], channel: int, slot: int, half: int) -> tuple[int, ...]:
+    def cluster_round(cluster: int, channel: int, slot: int, half: int) -> tuple[int, ...]:
         """One cluster's half-slot; returns the ids of the nodes whose tables it changed."""
         nonlocal packets
-        eligible = [i for i in cluster_ids if may_initiate(i)]
+        eligible = cluster & ~quiet
         if not eligible:
             return ()
-        if len(cluster_ids) == 1:
-            if cluster_ids[0] not in done:
+        if not cluster & (cluster - 1):  # a cluster of one
+            if (i := cluster.bit_length() - 1) not in done:
                 packets += 1
                 if rows is not None:
-                    rows.append((slot, half, channel, D_REQ, cluster_ids[0], None, OFF))
+                    rows.append((slot, half, channel, D_REQ, i, None, OFF))
             return ()
-        init = election("initiator", eligible)
-        in_range = [i for i in cluster_ids if topology.adjacent(init, i)]
+        init = election("initiator", _ids(eligible))
+        in_range = cluster & neighbor_masks[init]
         # Responder preference: peers never heard of, then direct links still
         # awaiting confirmation, then peers known only indirectly, then
         # confirmed links. The unconfirmed tier is what sends a two-way
         # handshake's responder back toward that neighbor at later meetings.
         dnl, inl, confirmed = tables[init].dnl, tables[init].inl, tables[init].confirmed
         tier = (
-            [i for i in in_range if i not in dnl and i not in inl]
-            or [i for i in in_range if i in dnl and i not in confirmed]
-            or [i for i in in_range if i in inl]
-            or [i for i in in_range if i in confirmed]
+            in_range & ~(dnl | inl)
+            or in_range & dnl & ~confirmed
+            or in_range & inl
+            or in_range & confirmed
         )
-        responder = election("responder", tier)
-        messages = run_handshake(
-            scenario.handshake, tables[init], tables[responder], scenario.share_unconfirmed_links
-        )
+        responder = election("responder", _ids(tier))
+        messages = run_handshake(scenario.handshake, tables[init], tables[responder],
+                                 scenario.share_unconfirmed_links)
         packets += len(messages)
         met_pairs.add((min(init, responder), max(init, responder)))
         if rows is not None:
@@ -404,24 +400,27 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         for k, group in itertools.groupby(tunings, key=itemgetter(0)):
             slot = slot0 + k // 2
             half = 1 + k % 2
-            tuned: dict[int, list[int]] = {}
+            tuned: dict[int, int] = {}  # channel -> mask of the ids tuned to it
             channel_idle = {}
             for _, row, channel, free in group:
-                if not is_silent(live[row], slot):
-                    tuned.setdefault(channel, []).append(live[row])
+                if (i := live[row]) not in done or not is_silent(i, slot):
+                    tuned[channel] = tuned.get(channel, 0) | 1 << i
                     channel_idle[channel] = free
             touched: list[int] = []
             for channel in sorted(tuned):
                 if rows is not None:
                     state = OFF if channel_idle[channel] else ON
-                    rows.extend((slot, half, channel, "TUNE", i, None, state) for i in tuned[channel])
+                    rows.extend((slot, half, channel, "TUNE", i, None, state) for i in _ids(tuned[channel]))
                 if not channel_idle[channel]:
                     continue  # sensing gate: nobody transmits this half-slot
-                for cluster_ids in _clusters(tuned[channel], topology):
-                    touched.extend(cluster_round(cluster_ids, channel, slot, half))
+                for cluster in _clusters(tuned[channel], neighbor_masks):
+                    touched.extend(cluster_round(cluster, channel, slot, half))
             for i in touched:
-                if i not in done and len(tables[i].dnl) + len(tables[i].inl) == n - 1:
+                dnl, inl, confirmed = tables[i].dnl, tables[i].inl, tables[i].confirmed
+                if i not in done and (dnl | inl).bit_count() == n - 1:
                     done[i] = 2 * slot - 2 + half
+                settled = i in done and not dnl & ~confirmed and scenario.completion_mode != "active"
+                quiet = quiet & ~(1 << i) | settled << i
             if len(done) == n:
                 break
         # half-slots of the block each live node spent incomplete; a node that
@@ -434,9 +433,7 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
 
     rendezvous = len(met_pairs)
     if packets < HANDSHAKE_SIZES[scenario.handshake] * rendezvous:
-        raise RuntimeError(
-            f"{packets} packets cannot carry {rendezvous} {scenario.handshake} rendezvous"
-        )
+        raise RuntimeError(f"{packets} packets cannot carry {rendezvous} {scenario.handshake} rendezvous")
     return RunRecord(
         node_count=n,
         handshake=scenario.handshake,

@@ -10,11 +10,13 @@ confirmed and with identical views of the network.
 Messages inside one half-slot are atomic: the half-second half-slot is long
 enough for the full exchange, so there is no mid-handshake loss or
 interruption to model.
+
+Tables are bitmasks of node ids, so a merge is two ORs and an AND-NOT.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
@@ -26,33 +28,27 @@ HANDSHAKE_KINDS = ("2wh", "3wh")
 HANDSHAKE_SIZES = {"2wh": 2, "3wh": 3}
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighborTables:
-    """A node's direct (handshaken) and indirect (learned) neighbor lists.
+    """A node's direct (handshaken) and indirect (learned) neighbors and the
+    direct links it has confirmed, each a bitmask of node ids (bit i is node i).
 
-    Invariants kept by `merge`: the owner never appears in either list, the
-    lists are disjoint (direct wins), and `confirmed` is a subset of `dnl`.
+    Invariants kept by `merge`: the owner is in neither `dnl` nor `inl`, the
+    two are disjoint (direct wins), and `confirmed` is a subset of `dnl`.
     """
 
     owner: int
-    dnl: set[int] = field(default_factory=set)
-    inl: set[int] = field(default_factory=set)
-    confirmed: set[int] = field(default_factory=set)
+    dnl: int = 0
+    inl: int = 0
+    confirmed: int = 0
 
-    def knowledge(self) -> frozenset[int]:
-        return frozenset(self.dnl | self.inl)
-
-    def snapshot(self, share_unconfirmed: bool = True) -> tuple[set[int], set[int]]:
+    def snapshot(self, share_unconfirmed: bool = True) -> tuple[int, int]:
         """(dnl, inl) as transmitted. With share_unconfirmed=False the sender
         withholds direct links it has not yet confirmed, so receivers cannot
-        learn them second-hand until the sender re-confirms.
+        learn them second-hand until the sender re-confirms."""
+        return (self.dnl if share_unconfirmed else self.dnl & self.confirmed), self.inl
 
-        The sets are the sender's own, not copies: a handshake merges each
-        snapshot before its sender's tables change."""
-        dnl = self.dnl if share_unconfirmed else self.dnl & self.confirmed
-        return dnl, self.inl
-
-    def merge(self, sender: int, dnl: set[int], inl: set[int]) -> None:
+    def merge(self, sender: int, dnl: int, inl: int) -> None:
         """Fold a message from `sender` carrying its (dnl, inl) into the tables.
 
         The sender becomes a direct neighbor; every node it reports becomes
@@ -60,10 +56,8 @@ class NeighborTables:
         """
         if sender == self.owner:
             raise InvalidParameterError("a node cannot merge its own message")
-        self.dnl.add(sender)
-        self.inl |= dnl | inl
-        self.inl -= self.dnl
-        self.inl.discard(self.owner)
+        self.dnl |= 1 << sender
+        self.inl = (self.inl | dnl | inl) & ~(self.dnl | 1 << self.owner)
 
 
 def run_handshake(
@@ -84,9 +78,9 @@ def run_handshake(
     a, b = initiator.owner, responder.owner
     responder.merge(a, *initiator.snapshot(share_unconfirmed))
     initiator.merge(b, *responder.snapshot(share_unconfirmed))
-    initiator.confirmed.add(b)
+    initiator.confirmed |= 1 << b
     if kind == "2wh":
         return (D_REQ, a, b), (D_ACK, b, a)
     responder.merge(a, *initiator.snapshot(share_unconfirmed))
-    responder.confirmed.add(a)
+    responder.confirmed |= 1 << a
     return (D_REQ, a, b), (D_RESP, b, a), (D_ACK, a, b)

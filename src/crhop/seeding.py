@@ -43,6 +43,30 @@ def labeled_rng(parent: np.random.SeedSequence, label: str) -> np.random.Generat
     return np.random.default_rng(substream(parent, label))
 
 
+def uniform_index(rng: np.random.Generator):
+    """draw(k), which returns what rng.integers(k) would, for 1 <= k < 2**32.
+
+    numpy's bounded draw is Lemire's method on 32-bit halves of the bit
+    generator's words, low half first: half h is kept iff (h * k) % 2**32 >=
+    2**32 % k and gives (h * k) >> 32; k == 1 reads nothing. Words are read
+    256 at a time, ahead of the draws, so rng must serve draw alone.
+    """
+    raw, halves = rng.bit_generator.random_raw, []  # unread halves, the next one last
+
+    def draw(k: int) -> int:
+        threshold = (1 << 32) % k
+        while k > 1:
+            if not halves:
+                block = raw(256)
+                halves.extend(np.column_stack((block & 0xFFFFFFFF, block >> 32)).ravel()[::-1].tolist())
+            scaled = halves.pop() * k
+            if scaled & 0xFFFFFFFF >= threshold:
+                return scaled >> 32
+        return 0
+
+    return draw
+
+
 def derive_run_seed(base_seed: int, environment_key: str, run_index: int) -> int:
     """64-bit run seed, a pure function of its arguments.
 

@@ -48,9 +48,6 @@ class Topology:
     def node_count(self) -> int:
         return len(self.positions)
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return j in self.neighbors[i]
-
     def is_connected(self) -> bool:
         return bool(connected(self.adjacency))
 

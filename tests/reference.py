@@ -1,11 +1,17 @@
-"""Scalar reference paths of the ON/OFF occupancy process, kept as test oracles.
+"""Reference paths kept as test oracles, and a decoder for id masks.
 
-`crhop.activity.ChannelProcess` draws holding times in batches and keeps only
-the intervals ahead of the last instant it served. These functions draw one
-holding time per interval and keep every interval end from time 0 in a list
-the caller owns, `ends`, so the block form can be checked against them bit
-for bit. An even index in `ends` is an OFF interval; math.inf marks an
-absorbing state.
+Occupancy: `crhop.activity.ChannelProcess` draws holding times in batches and
+keeps only the intervals ahead of the last instant it served. `draw`,
+`extend`, `is_busy` and `sample_intervals` draw one holding time per interval
+and keep every interval end from time 0 in a list the caller owns, `ends`, so
+the block form can be checked against them bit for bit. An even index in
+`ends` is an OFF interval; math.inf marks an absorbing state.
+
+Clusters: `crhop.engine._clusters` searches id bitmasks; `clusters` is the
+set-based search over the topology's neighbor sets.
+
+`ids` decodes an id bitmask (bit i is node i), the form of neighbor tables
+and clusters, into the set of ids it holds.
 """
 
 import math
@@ -56,4 +62,32 @@ def sample_intervals(ends: list[float], rates, rng, horizon: float) -> list[tupl
             break
         out.append((OFF if i % 2 == 0 else ON, min(end, horizon) - start))
         start = end
+    return out
+
+
+def ids(mask: int) -> set[int]:
+    """The ids in an id bitmask."""
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def clusters(member_ids: list[int], topology) -> list[list[int]]:
+    """Connected components of the topology restricted to member_ids, each
+    sorted, in the order of their first member in member_ids."""
+    idset = set(member_ids)
+    seen: set[int] = set()
+    out = []
+    for i in member_ids:
+        if i in seen:
+            continue
+        comp = []
+        stack = [i]
+        seen.add(i)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in topology.neighbors[u]:
+                if v in idset and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        out.append(sorted(comp))
     return out

@@ -19,6 +19,7 @@ from crhop.engine import Scenario, run
 from crhop.experiment import SweepConfig, cells, check_table1, run_group, run_sweep
 from crhop.handshake import NeighborTables, run_handshake
 from crhop.metrics import compare, per_run_attr_slots
+from reference import ids
 from test_protocols import FakeRng, dual_clock_reference_trace
 
 from crhop.protocols import MdmcaStrategy
@@ -98,24 +99,24 @@ def test_criterion_4_handshake_property_suite():
         for _ in range(int(rng.integers(1, 9))):
             i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
             kind = "2wh" if rng.integers(2) else "3wh"
-            know_i = set(nodes[i].knowledge())
-            know_j = set(nodes[j].knowledge())
-            conf_i = set(nodes[i].confirmed)
-            conf_j_had_i = i in nodes[j].confirmed
+            know_i = ids(nodes[i].dnl | nodes[i].inl)
+            know_j = ids(nodes[j].dnl | nodes[j].inl)
+            conf_i = ids(nodes[i].confirmed)
+            conf_j_had_i = i in ids(nodes[j].confirmed)
             messages = run_handshake(kind, nodes[i], nodes[j])
             assert len(messages) == (2 if kind == "2wh" else 3)
-            assert know_i <= nodes[i].knowledge() and conf_i <= nodes[i].confirmed
-            assert know_j <= nodes[j].knowledge()
-            assert j in nodes[i].confirmed
+            assert know_i <= ids(nodes[i].dnl | nodes[i].inl) and conf_i <= ids(nodes[i].confirmed)
+            assert know_j <= ids(nodes[j].dnl | nodes[j].inl)
+            assert j in ids(nodes[i].confirmed)
             if kind == "3wh":
-                assert i in nodes[j].confirmed
-                assert nodes[i].knowledge() | {i} == nodes[j].knowledge() | {j}
+                assert i in ids(nodes[j].confirmed)
+                assert ids(nodes[i].dnl | nodes[i].inl) | {i} == ids(nodes[j].dnl | nodes[j].inl) | {j}
             else:
-                assert (i in nodes[j].confirmed) == conf_j_had_i
+                assert (i in ids(nodes[j].confirmed)) == conf_j_had_i
             for t in (nodes[i], nodes[j]):
-                assert t.owner not in t.knowledge()
-                assert not (t.dnl & t.inl)
-                assert t.confirmed <= t.dnl
+                assert t.owner not in ids(t.dnl | t.inl)
+                assert not (ids(t.dnl) & ids(t.inl))
+                assert ids(t.confirmed) <= ids(t.dnl)
     elapsed = time.monotonic() - start
     report(f"criterion 4 PASS: {sequences} randomized meeting sequences, zero "
            f"violations ({elapsed:.1f}s)")

@@ -5,11 +5,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import CHAIN_POSITIONS, PAIR_POSITIONS, ScriptedElection
-from crhop.engine import MAX_CHANNELS, Scenario, build_environment, run
+from crhop.engine import MAX_CHANNELS, Scenario, _clusters, build_environment, run
 from crhop.errors import GenerationFailureError, InvalidParameterError
 from crhop.handshake import D_ACK, D_REQ, D_RESP
+from crhop.topology import from_positions
+
+
+def clusters_of(member_ids, topology):
+    """engine._clusters on ascending ids, decoded to sorted id lists."""
+    masks = [sum(1 << j for j in peers) for peers in topology.neighbors]
+    return [sorted(reference.ids(c)) for c in _clusters(sum(1 << i for i in member_ids), masks)]
 
 
 def pair_scenario(handshake="3wh", **kw):
@@ -106,13 +116,25 @@ class TestClusters:
     def test_restricting_to_tuned_nodes_splits_components(self):
         # a 5-chain stays connected, but with the middle node tuned away the
         # end pairs fall into separate clusters
-        from crhop.engine import _clusters
-        from crhop.topology import from_positions
-
         topo = from_positions([(i * 90.0, 0.0) for i in range(5)], 100.0)
-        assert _clusters([0, 1, 2, 3, 4], topo) == [[0, 1, 2, 3, 4]]
-        assert _clusters([0, 1, 3, 4], topo) == [[0, 1], [3, 4]]
-        assert _clusters([0, 2, 4], topo) == [[0], [2], [4]]
+        assert clusters_of([0, 1, 2, 3, 4], topo) == [[0, 1, 2, 3, 4]]
+        assert clusters_of([0, 1, 3, 4], topo) == [[0, 1], [3, 4]]
+        assert clusters_of([0, 2, 4], topo) == [[0], [2], [4]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), share=st.floats(0.1, 0.9))
+    def test_mask_search_equals_the_set_search(self, n, seed, share):
+        # Each node lands within range of an earlier one, so the placement is
+        # connected; up to 80 nodes takes the masks past one machine word.
+        rng = np.random.default_rng(seed)
+        points = [(0.0, 0.0)]
+        for i in range(1, n):
+            x, y = points[rng.integers(i)]
+            angle, distance = rng.uniform(0.0, 2 * math.pi), rng.uniform(60.0, 95.0)
+            points.append((x + distance * math.cos(angle), y + distance * math.sin(angle)))
+        topo = from_positions(points, 100.0)
+        member_ids = [i for i in range(n) if rng.random() < share]
+        assert clusters_of(member_ids, topo) == reference.clusters(member_ids, topo)
 
     def test_untraced_clusters_see_only_nodes_with_an_adjacent_peer(self, monkeypatch):
         # Without silence every member _clusters receives must have an
@@ -122,18 +144,20 @@ class TestClusters:
 
         real, seen = crhop.engine._clusters, []
 
-        def recording(member_ids, topology):
-            seen.append((list(member_ids), topology))
-            return real(member_ids, topology)
+        def recording(members, neighbor_masks):
+            seen[-1][1].append(sorted(reference.ids(members)))
+            return real(members, neighbor_masks)
 
         monkeypatch.setattr(crhop.engine, "_clusters", recording)
         sc = Scenario(nodes=20, channels=20, mode="asym", m=2, activity="high",
                       protocol="mmca", handshake="2wh", max_slots=200)
         for seed in range(3):
+            seen.append((build_environment(sc, seed).topology, []))
             run(sc, seed)
-        assert seen
-        for members, topo in seen:
-            assert all(any(topo.adjacent(i, j) for j in members) for i in members)
+        assert all(calls for _topo, calls in seen)
+        for topo, calls in seen:
+            for members in calls:
+                assert all(any(topo.adjacency[i, j] for j in members) for i in members)
 
 
 # Dense networks: one channel holds several clusters at once, and nodes fall

@@ -12,6 +12,7 @@ from crhop.activity import ACTIVITY_CLASSES
 from crhop.engine import COMPLETION_MODES, Scenario, run
 from crhop.handshake import D_REQ, HANDSHAKE_KINDS, HANDSHAKE_SIZES
 from crhop.protocols import STRATEGY_KINDS
+from reference import ids
 
 
 @st.composite
@@ -80,10 +81,11 @@ def test_neighbor_tables_keep_their_invariants(case):
     def checked(kind, initiator, responder, share_unconfirmed):
         messages = handshake(kind, initiator, responder, share_unconfirmed)
         for tables in (initiator, responder):
-            assert tables.owner not in tables.dnl and tables.owner not in tables.inl
-            assert not tables.dnl & tables.inl
-            assert tables.confirmed <= tables.dnl
-            knowledge = tables.dnl | tables.inl
+            dnl, inl, confirmed = ids(tables.dnl), ids(tables.inl), ids(tables.confirmed)
+            assert tables.owner not in dnl and tables.owner not in inl
+            assert not dnl & inl
+            assert confirmed <= dnl
+            knowledge = dnl | inl
             assert known.get(tables.owner, set()) <= knowledge
             known[tables.owner] = knowledge
         return messages

@@ -1,4 +1,11 @@
-"""Handshake state-machine tests."""
+"""Handshake state-machine tests.
+
+Tables hold bitmasks of node ids. The hand-written cases name their nodes
+"A", "B", ...; `node` maps a name to its id and `names` decodes a mask back
+to names, so each case reads as sets of names.
+"""
+
+import string
 
 import numpy as np
 import pytest
@@ -13,83 +20,111 @@ from crhop.handshake import (
     NeighborTables,
     run_handshake,
 )
+from reference import ids
+
+NAMES = string.ascii_uppercase
+
+
+def node(name):
+    """A node's id: its letter's place in NAMES, or the id itself."""
+    return NAMES.index(name) if isinstance(name, str) else name
+
+
+def bits(members):
+    return sum(1 << node(m) for m in members)
+
+
+def names(mask):
+    return {NAMES[i] for i in ids(mask)}
 
 
 def tables(owner, dnl=(), inl=(), confirmed=()):
-    return NeighborTables(owner, set(dnl), set(inl), set(confirmed))
+    return NeighborTables(node(owner), bits(dnl), bits(inl), bits(confirmed))
+
+
+def merge(t, sender, dnl, inl):
+    t.merge(node(sender), bits(dnl), bits(inl))
+
+
+def knowledge(t):
+    return ids(t.dnl | t.inl)
 
 
 def view(t):
-    """A node's picture of the network, itself included."""
-    return t.knowledge() | {t.owner}
+    """A node's picture of the network, itself included, by name."""
+    return names(t.dnl | t.inl) | {NAMES[t.owner]}
 
 
 def check_invariants(t):
-    assert t.owner not in t.dnl | t.inl
-    assert not (t.dnl & t.inl)
-    assert t.confirmed <= t.dnl
+    assert t.owner not in ids(t.dnl) | ids(t.inl)
+    assert not (ids(t.dnl) & ids(t.inl))
+    assert ids(t.confirmed) <= ids(t.dnl)
+
+
+def messages_by_name(messages):
+    return tuple((kind, NAMES[s], NAMES[r]) for kind, s, r in messages)
 
 
 class TestMerge:
     def test_basic_union(self):
         local = tables("A")
-        local.merge("B", {"C"}, {"D"})
-        assert local.dnl == {"B"}
-        assert local.inl == {"C", "D"}
+        merge(local, "B", {"C"}, {"D"})
+        assert names(local.dnl) == {"B"}
+        assert names(local.inl) == {"C", "D"}
         check_invariants(local)
 
     def test_idempotent(self):
         msg = ("B", {"C"}, {"D"})
         once = tables("A")
-        once.merge(*msg)
+        merge(once, *msg)
         twice = tables("A")
-        twice.merge(*msg)
-        twice.merge(*msg)
+        merge(twice, *msg)
+        merge(twice, *msg)
         assert once == twice
 
     def test_self_excluded(self):
         local = tables("A")
-        local.merge("B", {"A", "C"}, set())
-        assert "A" not in local.inl and "A" not in local.dnl
-        assert local.inl == {"C"}
+        merge(local, "B", {"A", "C"}, set())
+        assert "A" not in names(local.inl) and "A" not in names(local.dnl)
+        assert names(local.inl) == {"C"}
 
     def test_direct_wins_over_indirect(self):
         local = tables("A", dnl={"B"})
-        local.merge("C", {"B"}, set())
-        assert local.dnl == {"B", "C"}
-        assert local.inl == set()
+        merge(local, "C", {"B"}, set())
+        assert names(local.dnl) == {"B", "C"}
+        assert names(local.inl) == set()
 
     def test_sender_promoted_from_inl(self):
         local = tables("A", inl={"B"})
-        local.merge("B", set(), set())
-        assert local.dnl == {"B"} and local.inl == set()
+        merge(local, "B", set(), set())
+        assert names(local.dnl) == {"B"} and names(local.inl) == set()
 
     def test_own_message_rejected(self):
         local = tables("A")
         with pytest.raises(InvalidParameterError):
-            local.merge("A", set(), set())
+            merge(local, "A", set(), set())
 
 
 class TestTwoWay:
     def test_fresh_pair(self):
         a, b = tables("A"), tables("B")
         messages = run_handshake("2wh", a, b)
-        assert a.dnl == {"B"} and a.confirmed == {"B"}
-        assert b.dnl == {"A"} and b.confirmed == set()
-        assert messages == ((D_REQ, "A", "B"), (D_ACK, "B", "A"))
+        assert names(a.dnl) == {"B"} and names(a.confirmed) == {"B"}
+        assert names(b.dnl) == {"A"} and names(b.confirmed) == set()
+        assert messages_by_name(messages) == ((D_REQ, "A", "B"), (D_ACK, "B", "A"))
 
     def test_indirect_knowledge_carried(self):
         a, b = tables("A", dnl={"C"}), tables("B")
         run_handshake("2wh", a, b)
-        assert "C" in b.inl
+        assert "C" in names(b.inl)
 
     def test_repeat_meeting_confirms_reverse_link(self):
         a, b = tables("A"), tables("B")
         run_handshake("2wh", a, b)  # B's entry for A is unconfirmed
-        assert b.dnl - b.confirmed == {"A"}
+        assert names(b.dnl) - names(b.confirmed) == {"A"}
         messages = run_handshake("2wh", b, a)  # B re-initiates toward A
         assert len(messages) == 2
-        assert b.confirmed == {"A"} and a.confirmed == {"B"}
+        assert names(b.confirmed) == {"A"} and names(a.confirmed) == {"B"}
 
     def test_knowledge_views_equal_when_sharing(self):
         a = tables("A", dnl={"C"}, inl={"D"}, confirmed={"C"})
@@ -101,18 +136,18 @@ class TestTwoWay:
         a = tables("A", dnl={"C"}, confirmed=())  # link to C not yet confirmed
         b = tables("B")
         run_handshake("2wh", a, b, share_unconfirmed=False)
-        assert "C" not in b.knowledge()
+        assert "C" not in names(b.dnl | b.inl)
         a2 = tables("A", dnl={"C"}, confirmed={"C"})
         b2 = tables("B")
         run_handshake("2wh", a2, b2, share_unconfirmed=False)
-        assert "C" in b2.inl
+        assert "C" in names(b2.inl)
 
 
 class TestThreeWay:
     def test_fresh_pair(self):
         a, b = tables("A"), tables("B")
         messages = run_handshake("3wh", a, b)
-        assert a.confirmed == {"B"} and b.confirmed == {"A"}
+        assert names(a.confirmed) == {"B"} and names(b.confirmed) == {"A"}
         assert len(messages) == 3
         assert [m[0] for m in messages] == [D_REQ, D_RESP, D_ACK]
 
@@ -121,12 +156,12 @@ class TestThreeWay:
         b = tables("B", inl={"E"})
         run_handshake("3wh", a, b)
         for t in (a, b):
-            assert {"C", "D", "E"} <= t.knowledge()
+            assert {"C", "D", "E"} <= names(t.dnl | t.inl)
         assert view(a) == view(b) == {"A", "B", "C", "D", "E"}
 
     def test_message_direction(self):
         a, b = tables("A"), tables("B")
-        assert run_handshake("3wh", a, b) == (
+        assert messages_by_name(run_handshake("3wh", a, b)) == (
             (D_REQ, "A", "B"),
             (D_RESP, "B", "A"),
             (D_ACK, "A", "B"),
@@ -153,28 +188,28 @@ class TestMeetingSequences:
         n, meetings = seq
         nodes = [tables(i) for i in range(n)]
         for i, j, kind in meetings:
-            before_i = (set(nodes[i].knowledge()), set(nodes[i].confirmed))
-            before_j = (set(nodes[j].knowledge()), set(nodes[j].confirmed))
-            resp_confirmed_initiator_before = i in nodes[j].confirmed
+            before_i = (knowledge(nodes[i]), ids(nodes[i].confirmed))
+            before_j = (knowledge(nodes[j]), ids(nodes[j].confirmed))
+            resp_confirmed_initiator_before = i in ids(nodes[j].confirmed)
             messages = run_handshake(kind, nodes[i], nodes[j])
             assert len(messages) == (2 if kind == "2wh" else 3)
             for t in nodes:
                 check_invariants(t)
-                assert len(t.knowledge()) <= n - 1
+                assert len(knowledge(t)) <= n - 1
             # monotone growth
-            assert before_i[0] <= nodes[i].knowledge()
-            assert before_i[1] <= nodes[i].confirmed
-            assert before_j[0] <= nodes[j].knowledge()
-            assert before_j[1] <= nodes[j].confirmed
+            assert before_i[0] <= knowledge(nodes[i])
+            assert before_i[1] <= ids(nodes[i].confirmed)
+            assert before_j[0] <= knowledge(nodes[j])
+            assert before_j[1] <= ids(nodes[j].confirmed)
             # knowledge superset of the peer's pre-handshake knowledge
-            assert before_j[0] <= nodes[i].knowledge() | {i}
-            assert before_i[0] <= nodes[j].knowledge() | {j}
-            assert j in nodes[i].confirmed
+            assert before_j[0] <= knowledge(nodes[i]) | {i}
+            assert before_i[0] <= knowledge(nodes[j]) | {j}
+            assert j in ids(nodes[i].confirmed)
             if kind == "3wh":
-                assert i in nodes[j].confirmed
+                assert i in ids(nodes[j].confirmed)
                 assert view(nodes[i]) == view(nodes[j])
             else:
-                assert (i in nodes[j].confirmed) == resp_confirmed_initiator_before
+                assert (i in ids(nodes[j].confirmed)) == resp_confirmed_initiator_before
 
     def test_seeded_bulk_sequences(self):
         rng = np.random.default_rng(2024)

@@ -22,7 +22,7 @@ def bfs_connected(topo):
         nxt = []
         for u in frontier:
             for v in range(n):
-                if v != u and topo.adjacent(u, v) and v not in seen:
+                if v != u and topo.adjacency[u, v] and v not in seen:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
@@ -99,12 +99,12 @@ def test_single_node_trivially_connected():
 
 def test_unit_disk_boundary():
     inside = from_positions([(0.0, 0.0), (99.0, 0.0)], 100.0)
-    assert inside.adjacent(0, 1) and inside.adjacent(1, 0)
+    assert inside.adjacency[0, 1] and inside.adjacency[1, 0]
     # exactly at range is adjacent, one ulp beyond is not
     for far in [(100.0, 0.0), (60.0, 80.0)]:
-        assert from_positions([(0.0, 0.0), far], 100.0).adjacent(0, 1)
+        assert from_positions([(0.0, 0.0), far], 100.0).adjacency[0, 1]
     beyond = Topology([(0.0, 0.0), (float(np.nextafter(100.0, 200.0)), 0.0)], 100.0)
-    assert not beyond.adjacent(0, 1) and not beyond.is_connected()
+    assert not beyond.adjacency[0, 1] and not beyond.is_connected()
     with pytest.raises(InvalidParameterError):
         from_positions([(0.0, 0.0), (101.0, 0.0)], 100.0)
 
@@ -174,6 +174,6 @@ def test_position_file_validation(tmp_path):
 
 def test_chain_is_multihop_not_clique():
     topo = from_positions([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0)], 100.0)
-    assert topo.adjacent(0, 1) and topo.adjacent(1, 2)
-    assert not topo.adjacent(0, 2)
+    assert topo.adjacency[0, 1] and topo.adjacency[1, 2]
+    assert not topo.adjacency[0, 2]
     assert topo.is_connected()
