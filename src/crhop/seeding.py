@@ -46,8 +46,8 @@ def labeled_rng(parent: np.random.SeedSequence, label: str) -> np.random.Generat
 def uniform_index(rng: np.random.Generator):
     """draw(k), which returns what rng.integers(k) would, for 1 <= k < 2**32.
 
-    numpy's bounded draw is Lemire's method on 32-bit halves of the bit
-    generator's words, low half first: half h is kept iff (h * k) % 2**32 >=
+    On PCG64 (labeled_rng's), numpy's bounded draw is Lemire's method on 32-bit
+    halves of raw words, low half first: half h is kept iff (h * k) % 2**32 >=
     2**32 % k and gives (h * k) >> 32; k == 1 reads nothing. Words are read
     256 at a time, ahead of the draws, so rng must serve draw alone.
     """
