@@ -16,6 +16,12 @@ from crhop.experiment import run_group
 from crhop.metrics import compare
 
 
+def cell(value, spec: str) -> str:
+    """value formatted to spec, or "-" right-aligned in its width when undefined
+    (a single node has ATTR 0 and no rendezvous)."""
+    return format(value, spec) if value is not None else format("-", f">{spec.split('.')[0]}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=50)
@@ -35,9 +41,9 @@ def main(argv=None):
                 cells[handshake] = run_group([sc], args.runs, args.seed)[0]
             summary = compare(cells["3wh"], cells["2wh"])
             print(f"{protocol:8} {activity:8} {cells['3wh'].attr_slots:8.1f} "
-                  f"{cells['2wh'].attr_slots:8.1f} {summary.attr_ratio:6.3f} "
-                  f"{summary.attr_p_value:9.2e} {cells['3wh'].ppr:7.2f} "
-                  f"{cells['2wh'].ppr:7.2f} {summary.ppr_p_value:9.2e}")
+                  f"{cells['2wh'].attr_slots:8.1f} {cell(summary.attr_ratio, '6.3f')} "
+                  f"{summary.attr_p_value:9.2e} {cell(cells['3wh'].ppr, '7.2f')} "
+                  f"{cell(cells['2wh'].ppr, '7.2f')} {cell(summary.ppr_p_value, '9.2e')}")
     return 0
 
 

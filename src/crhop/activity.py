@@ -137,10 +137,7 @@ class ChannelProcess:
     no later call may precede.
     """
 
-    def __init__(self, channel_id: int, rates: ActivityRates, rng: np.random.Generator):
-        if channel_id < 1:
-            raise InvalidParameterError(f"channel_id must be positive, got {channel_id}")
-        self.channel_id = channel_id
+    def __init__(self, rates: ActivityRates, rng: np.random.Generator):
         self.rates = rates
         self._rng = rng
         # Holding-time scales (OFF, ON); a zero rate holds its state forever.

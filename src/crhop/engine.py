@@ -21,11 +21,11 @@ Time advances in synchronized 1-second slots, each split into two half-slots
 The loop runs in blocks of half-slots. Block b covers the same slots in every
 run: blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS, and a
 run reads its last block only up to its budget. At the start of a block the
-run takes from its Environment the channels of every node that is not silent
-for the whole block and every channel's busy bits at the block's half-slot
-instants. The procedure above runs only for nodes with an adjacent non-silent
-node on their idle channel (every node when tracing, every idle node past
-MASK_CELLS); any other idle node is a cluster of one, whose lone D-REQ, if it
+run takes from its Environment every node's channels and every channel's
+busy bits at the block's half-slot instants, and scans each node's
+neighbours for one on the same idle channel. The procedure above runs only
+for the nodes that have one (every node when tracing), and skips those that
+are silent; any other idle node is a cluster of one, whose lone D-REQ, if it
 is incomplete, is counted from the block arrays.
 
 Neighbor tables, tuned sets and clusters are bitmasks of node ids (bit i is
@@ -75,12 +75,10 @@ DEFAULT_RANGE = 100.0
 
 # Slots per block of precomputed hops and occupancy. The first block is
 # short because many runs end within a hundred half-slots; later blocks
-# double up to the cap, which bounds the block arrays' memory. The meeting
-# mask holds live nodes x live nodes x half-slots booleans; past MASK_CELLS
-# it is skipped and every idle node visited (same records, bounded memory).
+# double up to the cap, which bounds the block arrays' memory: each holds
+# nodes x half-slots entries.
 FIRST_BLOCK_SLOTS = 64
 MAX_BLOCK_SLOTS = 256
-MASK_CELLS = 1 << 24
 
 # Largest channel pool a scenario may ask for: channel sets, occupancy
 # processes and busy bits grow with it (the paper's pools are 10 and 20).
@@ -267,7 +265,7 @@ def build_environment(scenario: Scenario, seed) -> Environment:
     )
     rates = make_profile(scenario.activity, scenario.channels, table=scenario.rates_table)
     processes = {
-        ch: ChannelProcess(ch, rates[ch - 1], labeled_rng(root, f"pr/{ch}"))
+        ch: ChannelProcess(rates[ch - 1], labeled_rng(root, f"pr/{ch}"))
         for ch in range(1, scenario.channels + 1)
     }
     return Environment(scenario.environment_key(), seed, topo, smap, processes)
@@ -327,6 +325,9 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
             return options[draw(len(options))]
 
     neighbor_masks = [sum(1 << j for j in peers) for peers in topology.neighbors]
+    # peers[r][i] is node i's r-th neighbour by id, or n past its degree
+    ranked = np.sort(np.where(topology.adjacency, np.arange(n), n), axis=1)
+    peers = list(ranked[:, :topology.adjacency.sum(axis=1).max(initial=0)].T)
     tables = [NeighborTables(i) for i in range(n)]
     done = {0: 0} if n == 1 else {}  # complete node id -> its TTR in half-slots
     rows: list | None = [] if trace else None
@@ -383,35 +384,33 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         hops, busy = environment.block(scenario.protocol, b)
         width = min(busy.shape[1], 2 * (scenario.max_slots - slot0 + 1))  # half-slots within the budget
         span = np.arange(width)
-        live = [i for i in range(n) if not is_silent(i, slot0)]
-        hops = hops[live, :width]
+        padded = np.zeros((n + 1, width), hops.dtype)  # row n is no node: channel 0 is nobody's
+        padded[:n] = hops[:, :width]
+        hops = padded[:n]
         idle = ~busy[hops, span]
-        # Only a node with an adjacent live node on its idle channel can be in
-        # a cluster of two or more; nodes on one channel share its busy bit.
-        heard = idle | trace
-        if idle.size * len(live) <= MASK_CELLS and not trace:
-            meets = hops[:, None, :] == hops[None, :, :]
-            meets &= topology.adjacency[np.ix_(live, live)][:, :, None]
-            heard &= meets.any(axis=1)
-        lone = idle & ~heard  # where a live node sends a lone D-REQ, if incomplete
-        # (half-slot, live row) pairs the visits read, in half-slot then id order
+        # Only a node with a neighbour on its idle channel can be in a cluster
+        # of two or more; nodes on one channel share its busy bit.
+        met = np.zeros_like(idle)
+        for column in peers:
+            met |= padded[column] == hops
+        heard = idle & met | trace
+        lone = idle & ~heard  # where a node sends a lone D-REQ, if incomplete
+        # (half-slot, node) pairs the visits read, in half-slot then id order
         at, who = np.nonzero(heard.T)
-        tunings = zip(at.tolist(), who.tolist(), hops[who, at].tolist(), idle[who, at].tolist())
+        tunings = zip(at.tolist(), who.tolist(), hops[who, at].tolist())
         for k, group in itertools.groupby(tunings, key=itemgetter(0)):
             slot = slot0 + k // 2
             half = 1 + k % 2
             tuned: dict[int, int] = {}  # channel -> mask of the ids tuned to it
-            channel_idle = {}
-            for _, row, channel, free in group:
-                if (i := live[row]) not in done or not is_silent(i, slot):
+            for _, i, channel in group:
+                if i not in done or not is_silent(i, slot):
                     tuned[channel] = tuned.get(channel, 0) | 1 << i
-                    channel_idle[channel] = free
             touched: list[int] = []
             for channel in sorted(tuned):
                 if rows is not None:
-                    state = OFF if channel_idle[channel] else ON
+                    state = ON if busy[channel, k] else OFF
                     rows.extend((slot, half, channel, "TUNE", i, None, state) for i in _ids(tuned[channel]))
-                if not channel_idle[channel]:
+                if busy[channel, k]:
                     continue  # sensing gate: nobody transmits this half-slot
                 for cluster in _clusters(tuned[channel], neighbor_masks):
                     touched.extend(cluster_round(cluster, channel, slot, half))
@@ -423,11 +422,11 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
                 quiet = quiet & ~(1 << i) | settled << i
             if len(done) == n:
                 break
-        # half-slots of the block each live node spent incomplete; a node that
+        # half-slots of the block each node spent incomplete; a node that
         # completed at half-slot k of the block has TTR first + k (k < 0 for
         # an earlier block, which sends none of the block's lone D-REQs)
         first = 2 * slot0 - 1
-        ends = np.array([done.get(i, first + width) - first for i in live])
+        ends = np.array([done.get(i, first + width) - first for i in range(n)])
         packets += int(np.count_nonzero(lone & (span < ends[:, None])))
         b, slot0 = b + 1, slot0 + busy.shape[1] // 2
 

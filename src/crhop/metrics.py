@@ -107,8 +107,8 @@ def summarize(scenario_desc: dict, seeds, records) -> ExperimentResult:
 class ComparisonSummary:
     """Paired-seed comparison of result A against result B."""
 
-    attr_ratio: float
-    improvement_pct: float  # 100 * (1 - ATTR_A / ATTR_B)
+    attr_ratio: float | None  # None when ATTR_B is 0
+    improvement_pct: float | None  # 100 * (1 - ATTR_A / ATTR_B)
     attr_p_value: float  # one-sided sign test for ATTR_A < ATTR_B
     ppr_ratio: float | None
     ppr_p_value: float | None  # one-sided sign test for PPR_A < PPR_B
@@ -140,10 +140,10 @@ def compare(a: ExperimentResult, b: ExperimentResult) -> ComparisonSummary:
         ppr_ratio = None
         ppr_p = None
 
-    attr_ratio = a.attr_slots / b.attr_slots
+    attr_ratio = a.attr_slots / b.attr_slots if b.attr_slots else None
     return ComparisonSummary(
         attr_ratio=attr_ratio,
-        improvement_pct=100.0 * (1.0 - attr_ratio),
+        improvement_pct=None if attr_ratio is None else 100.0 * (1.0 - attr_ratio),
         attr_p_value=sign_test_less(wins, losses),
         ppr_ratio=ppr_ratio,
         ppr_p_value=ppr_p,

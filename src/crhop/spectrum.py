@@ -41,9 +41,8 @@ def partition_prime(channels) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class SpectrumMap:
-    """Global channel pool and each node's available subset."""
+    """Each node's available subset of the channel pool."""
 
-    pool_size: int
     available: tuple[tuple[int, ...], ...]  # sorted channel ids per node
 
 
@@ -72,7 +71,7 @@ def assign_channels(
         if per_node_size is not None and per_node_size != pool_size:
             raise InvalidParameterError("symmetric mode requires per_node_size == pool_size")
         full = tuple(range(1, pool_size + 1))
-        return SpectrumMap(pool_size, tuple(full for _ in range(node_count)))
+        return SpectrumMap(tuple(full for _ in range(node_count)))
 
     if mode != "asym":
         raise InvalidParameterError(f"mode must be 'sym' or 'asym', got {mode!r}")
@@ -108,4 +107,4 @@ def assign_channels(
     for ch in sorted(universal):
         sets[int(rng.integers(node_count))].discard(ch)
 
-    return SpectrumMap(pool_size, tuple(tuple(sorted(s)) for s in sets))
+    return SpectrumMap(tuple(tuple(sorted(s)) for s in sets))

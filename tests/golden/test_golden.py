@@ -103,8 +103,8 @@ CASES = [
     _case("censored/trace", 26, trace=True, nodes=4, max_slots=1, activity="zero"),
     _case("single-node", 27, nodes=1),
     _case("single-node/trace", 27, trace=True, nodes=1, positions=((5.0, 5.0),)),
-    # Past one machine word of node ids; N=200 reaches block 2, where its
-    # meeting mask (200 x 200 x 512 cells) exceeds MASK_CELLS and is skipped.
+    # Past one machine word of node ids; N=200 reaches block 2 (512
+    # half-slots), and its untraced runs visit only the nodes that meet.
     _case("wide/N70/mmca/2wh", 5, nodes=70, channels=20, mode="asym", m=2,
           area=WIDE_AREA, max_slots=2_000, protocol="mmca", handshake="2wh"),
     _case("wide/N200/mdmca/3wh", 5, nodes=200, channels=20, mode="asym", m=2,

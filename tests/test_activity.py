@@ -143,8 +143,8 @@ class TestChannelProcess:
         assert intervals == [("off", 100.0)]
 
     def test_same_stream_same_intervals(self):
-        a = ChannelProcess(4, CH4, np.random.default_rng(11))
-        b = ChannelProcess(4, CH4, np.random.default_rng(11))
+        a = ChannelProcess(CH4, np.random.default_rng(11))
+        b = ChannelProcess(CH4, np.random.default_rng(11))
         times = np.arange(1000) * 0.5
         assert a.busy_at(times).tolist() == b.busy_at(times).tolist()
 
@@ -171,16 +171,16 @@ class TestChannelProcess:
             assert abs(frac - utilization(CH4)) <= 0.02
 
     def test_is_busy_zero_class(self):
-        proc = ChannelProcess(1, ActivityRates(1000.0, 0.0), np.random.default_rng(0))
+        proc = ChannelProcess(ActivityRates(1000.0, 0.0), np.random.default_rng(0))
         assert not proc.busy_at(np.array([0.0, 0.5, 17.25, 9999.0])).any()
 
     def test_is_busy_starts_off(self):
         for rates in (CH4, CH2):
-            proc = ChannelProcess(2, rates, np.random.default_rng(8))
+            proc = ChannelProcess(rates, np.random.default_rng(8))
             assert not proc.busy_at(np.array([0.0]))[0]
 
     def test_is_busy_frequency_matches_utilization(self):
-        proc = ChannelProcess(4, CH4, np.random.default_rng(21))
+        proc = ChannelProcess(CH4, np.random.default_rng(21))
         rng = np.random.default_rng(99)
         times = np.sort(rng.uniform(0.0, 100_000.0, size=20_000))
         frac = proc.busy_at(times).mean()
@@ -189,7 +189,7 @@ class TestChannelProcess:
     def test_is_busy_boundaries_half_open(self):
         ends = []
         reference.extend(ends, CH4, np.random.default_rng(2), 50.0)
-        proc = ChannelProcess(4, CH4, np.random.default_rng(2))
+        proc = ChannelProcess(CH4, np.random.default_rng(2))
         # the first OFF interval ends and ON begins at ends[0]; OFF resumes at ends[1]
         busy = proc.busy_at(np.array([ends[0] - 1e-9, ends[0], ends[1]]))
         assert busy.tolist() == [False, True, False]
@@ -240,7 +240,7 @@ class TestBusyBlocks:
     @staticmethod
     def check(rates, rng_a, rng_b, widths):
         ref_ends = []
-        blk = ChannelProcess(1, rates, rng_b)
+        blk = ChannelProcess(rates, rng_b)
         start = 0
         for width in widths:
             times = np.arange(start, start + width) * 0.5
@@ -280,7 +280,7 @@ class TestBusyBlocks:
         reference.is_busy(ref_ends, rates, VariateStub(head), 0.55)
         assert ref_ends[:3] == want
         self.check(rates, VariateStub(head), VariateStub(head), (1, 2, 16))
-        blk = ChannelProcess(1, rates, VariateStub(head))
+        blk = ChannelProcess(rates, VariateStub(head))
         blk.busy_at(np.array([0.0]))
         assert (blk._passed, blk._ends[:3]) == (0, want)
         blk.busy_at(np.array([0.5]))  # passes the two intervals ending by 0.5
@@ -290,7 +290,7 @@ class TestBusyBlocks:
     def test_retained_ends_stay_within_a_block(self, rates):
         # A full history would grow with the block index; the retained ends
         # stay within twice the mean interval count of one block.
-        proc = ChannelProcess(4, rates, np.random.default_rng(7))
+        proc = ChannelProcess(rates, np.random.default_rng(7))
         width = 512  # half-slots per block
         bound = 2 * 2 * (width * 0.5) / (1.0 / rates.lambda_x + 1.0 / rates.lambda_y)
         for b in range(200):
@@ -298,7 +298,7 @@ class TestBusyBlocks:
             assert len(proc._ends) <= bound, b
 
     def test_times_must_be_nonempty_and_nonnegative(self):
-        proc = ChannelProcess(4, CH4, np.random.default_rng(2))
+        proc = ChannelProcess(CH4, np.random.default_rng(2))
         with pytest.raises(InvalidParameterError):
             proc.busy_at(np.array([]))
         with pytest.raises(InvalidParameterError):
@@ -306,7 +306,7 @@ class TestBusyBlocks:
 
     @pytest.mark.parametrize("rates", [CH4, ActivityRates(1000.0, 0.0)], ids=repr)
     def test_times_must_not_precede_the_previous_call(self, rates):
-        proc = ChannelProcess(4, rates, np.random.default_rng(2))
+        proc = ChannelProcess(rates, np.random.default_rng(2))
         proc.busy_at(np.array([0.0, 10.0]))
         with pytest.raises(InvalidParameterError):
             proc.busy_at(np.array([9.5, 10.5]))

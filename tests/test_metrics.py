@@ -104,6 +104,15 @@ class TestCompare:
         assert summary.improvement_pct == pytest.approx(50.0)
         assert summary.attr_p_value < 0.01
 
+    def test_zero_attr_baseline_has_no_ratio(self):
+        # Every single-node cell has ATTR 0: the ratio is undefined, the sign test is not.
+        a = summarize({}, [0, 1], [record([0]), record([0])])
+        b = summarize({}, [0, 1], [record([0]), record([0])])
+        summary = compare(a, b)
+        assert summary.attr_ratio is None and summary.improvement_pct is None
+        assert summary.attr_p_value == 1.0 and summary.attr_ties == 2
+        assert summary.ppr_ratio is None
+
     def test_mismatched_seeds_rejected(self):
         a = result_from_attrs([1, 2, 3], seeds=[1, 2, 3])
         b = result_from_attrs([1, 2, 3], seeds=[1, 2, 4])
