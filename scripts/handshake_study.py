@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from crhop.engine import Scenario
+from crhop.errors import CrhopError
 from crhop.experiment import run_group
 from crhop.metrics import compare
 
@@ -22,13 +23,7 @@ def cell(value, spec: str) -> str:
     return format(value, spec) if value is not None else format("-", f">{spec.split('.')[0]}")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=50)
-    parser.add_argument("--nodes", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=90210)
-    args = parser.parse_args(argv)
-
+def study(args) -> None:
     print(f"{'protocol':8} {'activity':8} {'attr3':>8} {'attr2':>8} {'ratio':>6} "
           f"{'p_attr':>9} {'ppr3':>7} {'ppr2':>7} {'p_ppr':>9}")
     for protocol in ("mdmca", "mrcs", "mmca", "memca"):
@@ -44,6 +39,18 @@ def main(argv=None):
                   f"{cells['2wh'].attr_slots:8.1f} {cell(summary.attr_ratio, '6.3f')} "
                   f"{summary.attr_p_value:9.2e} {cell(cells['3wh'].ppr, '7.2f')} "
                   f"{cell(cells['2wh'].ppr, '7.2f')} {cell(summary.ppr_p_value, '9.2e')}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--runs", type=int, default=50)
+    parser.add_argument("--nodes", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=90210)
+    try:
+        study(parser.parse_args(argv))
+    except CrhopError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

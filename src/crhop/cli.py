@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from .activity import ACTIVITY_CLASSES
 from .engine import COMPLETION_MODES, run
-from .errors import CrhopError, GenerationFailureError, InvalidParameterError
+from .errors import CrhopError, GenerationFailureError, InvalidParameterError, writing
 from .experiment import (
     AXES,
     CONFIG_KEYS,
@@ -92,7 +92,7 @@ def _cmd_run(args) -> int:
     if args.trace:
         for index in range(config.runs):
             path = os.path.join(args.out, f"trace_run{index}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
                 _write_trace(fh, config, index)
     print(f"wrote {args.out}/data.csv and {args.out}/summary.json")
     return 0
@@ -133,7 +133,8 @@ def _cmd_trace(args) -> int:
     if args.run_index < 0:
         raise InvalidParameterError(f"run index must be >= 0, got {args.run_index}")
     config = _one_cell_config(args)
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    with writing(args.out):
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         record = _write_trace(out, config, args.run_index)
     finally:

@@ -207,8 +207,9 @@ class Environment:
 
     def block(self, protocol: str, b: int) -> tuple[np.ndarray, np.ndarray]:
         """(hops, busy) of block b: every node's channels under `protocol`'s
-        clock, in the pool's smallest dtype, and every channel's busy bits
-        (row 0 unused), at the block's half-slots.
+        clock, in the pool's smallest dtype, with a row n of channel 0 for no
+        node, and every channel's busy bits (row 0 unused), at the block's
+        half-slots.
 
         Every run asks for blocks 0, 1, 2, ... in turn, stopping once it
         ends, so b never skips a block and the clocks only move forward.
@@ -223,8 +224,8 @@ class Environment:
             ]
         slots = min(FIRST_BLOCK_SLOTS << b, MAX_BLOCK_SLOTS)
         if b == len(self._hops):
-            hops = np.array([s.hops(slots) for s in self._strategies],
-                            dtype=np.min_scalar_type(len(self.processes)))
+            hops = np.zeros((len(self._strategies) + 1, 2 * slots), np.min_scalar_type(len(self.processes)))
+            hops[:-1] = [s.hops(slots) for s in self._strategies]
             hops.setflags(write=False)  # every run on the environment reads it
             self._hops.append(hops)
         if b == len(self._busy):
@@ -324,10 +325,7 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         def election(tag, options):
             return options[draw(len(options))]
 
-    neighbor_masks = [sum(1 << j for j in peers) for peers in topology.neighbors]
-    # peers[r][i] is node i's r-th neighbour by id, or n past its degree
-    ranked = np.sort(np.where(topology.adjacency, np.arange(n), n), axis=1)
-    peers = list(ranked[:, :topology.adjacency.sum(axis=1).max(initial=0)].T)
+    neighbor_masks, peers = topology.neighbor_masks, topology.peers
     tables = [NeighborTables(i) for i in range(n)]
     done = {0: 0} if n == 1 else {}  # complete node id -> its TTR in half-slots
     rows: list | None = [] if trace else None
@@ -345,18 +343,19 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         # (ttr + 1) // 2 is the slot the node completed in
         return scenario.protocol == "memca" and slot > (done[i] + 1) // 2 + scenario.emca_window
 
-    def cluster_round(cluster: int, channel: int, slot: int, half: int) -> tuple[int, ...]:
-        """One cluster's half-slot; returns the ids of the nodes whose tables it changed."""
-        nonlocal packets
+    def cluster_round(cluster: int, channel: int, slot: int, half: int) -> None:
+        """One cluster's half-slot. Its two handshaken nodes are settled at once:
+        each is on one channel per half-slot, so no other cluster reads them."""
+        nonlocal packets, quiet
         eligible = cluster & ~quiet
         if not eligible:
-            return ()
+            return
         if not cluster & (cluster - 1):  # a cluster of one
             if (i := cluster.bit_length() - 1) not in done:
                 packets += 1
                 if rows is not None:
                     rows.append((slot, half, channel, D_REQ, i, None, OFF))
-            return ()
+            return
         init = election("initiator", _ids(eligible))
         in_range = cluster & neighbor_masks[init]
         # Responder preference: peers never heard of, then direct links still
@@ -377,15 +376,19 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         met_pairs.add((min(init, responder), max(init, responder)))
         if rows is not None:
             rows.extend((slot, half, channel, kind, s, r, OFF) for kind, s, r in messages)
-        return init, responder
+        for i in (init, responder):
+            dnl, inl, confirmed = tables[i].dnl, tables[i].inl, tables[i].confirmed
+            if i not in done and (dnl | inl).bit_count() == n - 1:
+                done[i] = 2 * slot - 2 + half
+            settled = i in done and not dnl & ~confirmed and scenario.completion_mode != "active"
+            quiet = quiet & ~(1 << i) | settled << i
 
     b, slot0 = 0, 1  # block index and the block's first slot
     while len(done) < n and slot0 <= scenario.max_slots:
         hops, busy = environment.block(scenario.protocol, b)
         width = min(busy.shape[1], 2 * (scenario.max_slots - slot0 + 1))  # half-slots within the budget
         span = np.arange(width)
-        padded = np.zeros((n + 1, width), hops.dtype)  # row n is no node: channel 0 is nobody's
-        padded[:n] = hops[:, :width]
+        padded = hops[:, :width]  # row n is no node: channel 0 is nobody's
         hops = padded[:n]
         idle = ~busy[hops, span]
         # Only a node with a neighbour on its idle channel can be in a cluster
@@ -405,7 +408,6 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
             for _, i, channel in group:
                 if i not in done or not is_silent(i, slot):
                     tuned[channel] = tuned.get(channel, 0) | 1 << i
-            touched: list[int] = []
             for channel in sorted(tuned):
                 if rows is not None:
                     state = ON if busy[channel, k] else OFF
@@ -413,13 +415,7 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
                 if busy[channel, k]:
                     continue  # sensing gate: nobody transmits this half-slot
                 for cluster in _clusters(tuned[channel], neighbor_masks):
-                    touched.extend(cluster_round(cluster, channel, slot, half))
-            for i in touched:
-                dnl, inl, confirmed = tables[i].dnl, tables[i].inl, tables[i].confirmed
-                if i not in done and (dnl | inl).bit_count() == n - 1:
-                    done[i] = 2 * slot - 2 + half
-                settled = i in done and not dnl & ~confirmed and scenario.completion_mode != "active"
-                quiet = quiet & ~(1 << i) | settled << i
+                    cluster_round(cluster, channel, slot, half)
             if len(done) == n:
                 break
         # half-slots of the block each node spent incomplete; a node that

@@ -1,4 +1,6 @@
-"""Exception types raised across the simulator, and the reading of input files."""
+"""Exception types raised across the simulator, and the reading and writing of files."""
+
+from contextlib import contextmanager
 
 
 class CrhopError(Exception):
@@ -32,3 +34,12 @@ def read_input(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+@contextmanager
+def writing(path: str):
+    """Raise an OSError of the block, which writes `path`, as an InvalidParameterError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror or exc}") from None

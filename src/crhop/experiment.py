@@ -26,7 +26,7 @@ from itertools import product
 
 from .activity import RATE_TABLE, TABLE_UTILIZATION, ActivityRates, utilization
 from .engine import Scenario, build_environment, run
-from .errors import GenerationFailureError, InvalidParameterError, read_input
+from .errors import GenerationFailureError, InvalidParameterError, read_input, writing
 from .handshake import HANDSHAKE_KINDS
 from .metrics import ExperimentResult, summarize
 from .protocols import STRATEGY_KINDS
@@ -122,6 +122,8 @@ def run_group(scenarios: list[Scenario], runs: int, base_seed: int) -> list[Expe
 
     Per run index the environment is built once and every cell runs on it.
     """
+    if not scenarios:
+        raise InvalidParameterError("run_group needs at least one cell")
     env_key = scenarios[0].environment_key()
     seeds = [derive_run_seed(base_seed, env_key, r) for r in range(runs)]
     records = [[] for _ in scenarios]
@@ -236,6 +238,8 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
         workers = int(text)
     except ValueError:
         raise InvalidParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {text!r}") from None
+    with writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             by_group = list(pool.map(_run_group_task, tasks))
@@ -249,10 +253,10 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
     results = [o for o in outcomes if isinstance(o, ExperimentResult)]
     failures = [o for o in outcomes if not isinstance(o, ExperimentResult)]
 
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "data.csv"), "w", encoding="utf-8", newline="") as fh:
+    data, summary = os.path.join(out_dir, "data.csv"), os.path.join(out_dir, "summary.json")
+    with writing(data), open(data, "w", encoding="utf-8", newline="") as fh:
         fh.write(data_csv_text(results))
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    with writing(summary), open(summary, "w", encoding="utf-8") as fh:
         json.dump(summary_payload(config, results, failures), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return results

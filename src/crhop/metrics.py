@@ -81,6 +81,8 @@ class ExperimentResult:
 
 def summarize(scenario_desc: dict, seeds, records) -> ExperimentResult:
     records = tuple(records)
+    if not records:
+        raise InvalidParameterError("summarize needs at least one run record")
     seeds = tuple(seeds)
     per_run = [per_run_attr_slots(r) for r in records]
     mean = sum(per_run) / len(per_run)

@@ -32,17 +32,20 @@ class Topology:
 
     Two distinct nodes are neighbors iff their Euclidean distance is at most
     `radio_range`. Instances are only built through `generate_topology` or
-    `from_positions`, both of which enforce connectivity.
+    `from_positions`, both of which enforce connectivity. Runs read neighbours
+    as `neighbor_masks[i]`, node i's as an id mask (bit j is node j), and as
+    `peers[r]`, each node's r-th neighbour by id, or n past its degree.
     """
 
     def __init__(self, positions: list[tuple[float, float]], radio_range: float):
         points = np.array(positions, dtype=float).reshape(len(positions), 2)
         self.positions = tuple(map(tuple, points.tolist()))
-        self.radio_range = float(radio_range)
-        self.adjacency = unit_disk_adjacency(points, self.radio_range)
-        ends = np.cumsum(self.adjacency.sum(axis=1)).tolist()
-        peers = np.nonzero(self.adjacency)[1].tolist()
-        self.neighbors = tuple(frozenset(peers[a:b]) for a, b in zip([0] + ends, ends))
+        self.adjacency = unit_disk_adjacency(points, float(radio_range))
+        rows = np.packbits(self.adjacency, axis=1, bitorder="little")
+        self.neighbor_masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+        ranked = np.sort(np.where(self.adjacency, np.arange(len(points)), len(points)), axis=1)
+        self.peers = ranked[:, :self.adjacency.sum(axis=1).max(initial=0)].T.copy()
+        self.peers.setflags(write=False)  # every run on the topology reads it
 
     @property
     def node_count(self) -> int:

@@ -85,7 +85,7 @@ def clusters(member_ids: list[int], topology) -> list[list[int]]:
         while stack:
             u = stack.pop()
             comp.append(u)
-            for v in topology.neighbors[u]:
+            for v in ids(topology.neighbor_masks[u]):
                 if v in idset and v not in seen:
                     seen.add(v)
                     stack.append(v)

@@ -2,11 +2,14 @@
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from crhop import experiment
 from crhop.activity import RATE_TABLE
 from crhop.cli import _one_cell_config, build_parser, main
 from crhop.engine import MAX_CHANNELS, Scenario
@@ -283,3 +286,32 @@ def test_run_positions_reach_the_sweep_outputs(tmp_path):
     data = (tmp_path / "cli" / "data.csv").read_bytes()
     assert data == (tmp_path / "lib" / "data.csv").read_bytes()
     assert data != (tmp_path / "random" / "data.csv").read_bytes()
+
+
+def test_trace_into_a_directory_exits_2(tmp_path, capsys):
+    assert main(["trace", "--nodes", "2", "--max-slots", "5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--runs", "1"]),
+    ("sweep", ["--runs", "1", "--protocols", "mdmca", "--handshakes", "3wh"]),
+])
+def test_output_under_a_file_exits_2_before_any_cell_runs(command, flags, monkeypatch, tmp_path, capsys):
+    def no_cell_may_run(*args, **kwargs):
+        raise AssertionError("a cell ran before its output directory was made")
+
+    monkeypatch.setattr(experiment, "build_environment", no_cell_may_run)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert main([command, "--nodes", "2", "--max-slots", "5", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_handshake_study_without_runs_exits_2(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "handshake_study.py"
+    spec = importlib.util.spec_from_file_location("handshake_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    assert study.main(["--runs", "0", "--nodes", "2"]) == 2
+    assert "error: summarize needs at least one run record" in capsys.readouterr().err

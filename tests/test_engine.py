@@ -18,8 +18,8 @@ from crhop.topology import from_positions
 
 def clusters_of(member_ids, topology):
     """engine._clusters on ascending ids, decoded to sorted id lists."""
-    masks = [sum(1 << j for j in peers) for peers in topology.neighbors]
-    return [sorted(reference.ids(c)) for c in _clusters(sum(1 << i for i in member_ids), masks)]
+    members = sum(1 << i for i in member_ids)
+    return [sorted(reference.ids(c)) for c in _clusters(members, topology.neighbor_masks)]
 
 
 def pair_scenario(handshake="3wh", **kw):

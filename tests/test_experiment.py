@@ -125,6 +125,13 @@ class TestSweep:
         ]
         assert all("GenerationFailureError" in c["error"] for c in infeasible)
 
+    def test_empty_group_or_zero_runs_rejected(self):
+        (scenario,) = cells(tiny_config(runs=1))
+        with pytest.raises(InvalidParameterError, match="at least one cell"):
+            run_group([], 1, 1)
+        with pytest.raises(InvalidParameterError, match="at least one run record"):
+            run_group([scenario], 0, 1)
+
     def test_run_seeds_reproducible(self):
         assert derive_run_seed(1, "env", 0) == derive_run_seed(1, "env", 0)
         assert derive_run_seed(1, "env", 0) != derive_run_seed(1, "env", 1)

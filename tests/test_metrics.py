@@ -145,3 +145,7 @@ class TestSummarize:
         res = summarize({}, [0], [record([2], packets=5, rendezvous=0)])
         assert res.ppr is None
         assert res.undefined_ppr_runs == 1
+
+    def test_no_records_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least one run record"):
+            summarize({}, [], [])

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from crhop.errors import GenerationFailureError, InvalidParameterError
 from crhop.topology import Topology, from_positions, generate_topology, load_positions
+
+
+def neighbor_sets(topo):
+    """Each node's neighbour ids, decoded from its id mask."""
+    return tuple(frozenset(reference.ids(mask)) for mask in topo.neighbor_masks)
 
 
 def bfs_connected(topo):
@@ -58,7 +64,7 @@ def assert_matches_reference(node_count, area, radio_range, seed, max_attempts):
         return
     topo = generate_topology(node_count, area, radio_range, rng, max_attempts=max_attempts)
     assert topo.positions == expected[1]
-    assert topo.neighbors == expected[2]
+    assert neighbor_sets(topo) == expected[2]
 
 
 @settings(max_examples=80, deadline=None)
@@ -93,7 +99,7 @@ def test_attempt_budget_is_exact():
 def test_single_node_trivially_connected():
     topo = generate_topology(1, (100.0, 100.0), 10.0, np.random.default_rng(0))
     assert topo.node_count == 1
-    assert topo.neighbors[0] == frozenset()
+    assert neighbor_sets(topo)[0] == frozenset()
     assert topo.is_connected()
 
 
@@ -111,10 +117,44 @@ def test_unit_disk_boundary():
 
 def test_adjacency_is_symmetric_and_irreflexive():
     topo = generate_topology(12, (300.0, 300.0), 100.0, np.random.default_rng(5))
+    sets = neighbor_sets(topo)
     for i in range(topo.node_count):
-        assert i not in topo.neighbors[i]
-        for j in topo.neighbors[i]:
-            assert i in topo.neighbors[j]
+        assert i not in sets[i]
+        for j in sets[i]:
+            assert i in sets[j]
+
+
+def assert_neighbour_forms_match_adjacency(topo):
+    """Each node's id mask holds its adjacency row's ids; its rank column is
+    those ids ascending, padded with n (no node) up to the maximum degree."""
+    n = topo.node_count
+    assert len(topo.neighbor_masks) == n
+    assert topo.peers.shape == (topo.adjacency.sum(axis=1).max(initial=0), n)
+    for i in range(n):
+        expected = np.flatnonzero(topo.adjacency[i]).tolist()
+        assert reference.ids(topo.neighbor_masks[i]) == set(expected)
+        assert topo.peers[:, i].tolist() == expected + [n] * (len(topo.peers) - len(expected))
+
+
+def test_single_node_has_one_zero_mask_and_no_ranks():
+    topo = generate_topology(1, (100.0, 100.0), 10.0, np.random.default_rng(0))
+    assert topo.neighbor_masks == (0,) and len(topo.peers) == 0
+    assert_neighbour_forms_match_adjacency(topo)
+
+
+def test_isolated_node_ranks_no_node_at_every_rank():
+    # Topology itself accepts a disconnected placement: node 2 hears nobody
+    topo = Topology([(0.0, 0.0), (50.0, 0.0), (500.0, 0.0), (0.0, 60.0)], 100.0)
+    assert topo.neighbor_masks[2] == 0
+    assert len(topo.peers) == 2 and topo.peers[:, 2].tolist() == [4, 4]
+    assert_neighbour_forms_match_adjacency(topo)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_neighbour_forms_past_two_machine_words_match_adjacency(seed):
+    topo = generate_topology(150, (400.0, 400.0), 100.0, np.random.default_rng(seed))
+    assert max(mask.bit_length() for mask in topo.neighbor_masks) > 128
+    assert_neighbour_forms_match_adjacency(topo)
 
 
 def test_emitted_topologies_always_connected():
@@ -122,7 +162,7 @@ def test_emitted_topologies_always_connected():
     for seed in range(100):
         topo = generate_topology(20, (400.0, 400.0), 100.0, np.random.default_rng(seed))
         assert bfs_connected(topo)
-        assert all(len(s) >= 1 for s in topo.neighbors)
+        assert all(len(s) >= 1 for s in neighbor_sets(topo))
 
 
 def test_generation_deterministic_per_seed():
