@@ -13,8 +13,10 @@ and the transient busy probability starting from idle at t = 0 is
     P_on(t) = U * (1 - exp(-(lambda_x + lambda_y) * t))
 
 with P_off(t) = 1 - P_on(t). Processes always start OFF, which makes
-P_on(0) = 0. A `ChannelProcess` samples one channel's trace and is read
-forward only: it keeps just the intervals ahead of the last instant it served.
+P_on(0) = 0. A `ChannelProcess` samples one channel's trace from its own
+stream and is read forward only: it keeps just the intervals ahead of the last
+instant it served. `busy_bits` reads every channel's process at a block of
+half-slot instants in one pass.
 
 The module ships a 20-channel table of reference rate pairs grouped into the
 activity classes zero / low / long / high, plus a "mix" profile that cycles
@@ -25,7 +27,6 @@ what the "85% activity" scenarios select.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,9 +133,9 @@ class ChannelProcess:
 
     The process owns its random stream, so a trace depends only on the stream
     it was created with. Intervals are half-open [start, end) and the first
-    interval is always OFF. Only the intervals not yet passed are kept: each
-    `busy_at` call drops those ending at or before its last instant, which
-    no later call may precede.
+    interval is always OFF. Only the intervals not yet passed are kept:
+    `busy_bits` drops those ending at or before the last instant it served,
+    which no later call may precede.
     """
 
     def __init__(self, rates: ActivityRates, rng: np.random.Generator):
@@ -144,63 +145,71 @@ class ChannelProcess:
         self._scales = tuple(1.0 / r if r else math.inf for r in (rates.lambda_y, rates.lambda_x))
         # End times of the intervals not yet passed: interval _passed + i ends
         # at _ends[i], and an even interval index is an OFF interval.
-        # math.inf marks an absorbing state.
-        self._ends: list[float] = []
+        # math.inf marks an absorbing state, as in the zero class from time 0.
+        self._ends = np.array([math.inf] if rates.lambda_y == 0.0 else [])
         self._passed = 0
-        self._last = 0.0  # last instant served; no query may precede it
+        self._last = 0  # last half-slot served; no call may start before it
 
-    def _extend(self, t: float) -> None:
-        """Append interval ends until one lies past t.
 
-        Holding times are drawn in batches. `exponential(scale)` is `scale *
-        standard_exponential()`, so one batch of standard variates times the
-        alternating 1/rate scales, summed in order, appends exactly the ends
-        one draw per interval would. A batch that holds a non-positive
-        duration is replayed one variate at a time, so the redraw takes the
-        next variate at the same scale. A zero rate's infinite scale makes its
-        state absorbing: its end, and every end the batch holds after it, is
-        math.inf.
-        """
-        scales = self._scales
-        ends = self._ends
-        passed = self._passed
-        while not ends or ends[-1] <= t:
-            start = ends[-1] if ends else 0.0
-            # OFF/ON pairs enough to pass t with a wide margin
-            pairs = int((t - start) / (scales[0] + scales[1]) * 1.25) + 8
-            draws = self._rng.standard_exponential(2 * pairs)
-            parity = (passed + len(ends)) % 2
-            durations = (draws.reshape(pairs, 2) * (scales[parity], scales[1 - parity])).ravel()
-            if durations.min() > 0.0:
-                durations[0] += start
-                ends.extend(np.cumsum(durations).tolist())
-                continue
-            for x in draws.tolist():
-                d = x * scales[(passed + len(ends)) % 2]
-                if d > 0.0:
-                    ends.append((ends[-1] if ends else 0.0) + d)
+def _draw_ends(processes: list[ChannelProcess], t: float) -> None:
+    """Append interval ends to every process until one lies past t.
 
-    def busy_at(self, times: np.ndarray) -> np.ndarray:
-        """Busy bits at the ascending instants `times`, none before the last
-        instant of the previous call (nor before 0).
+    Processes whose ends stop short of t draw one batch of standard variates
+    each, all of one size. `exponential(scale)` is `scale *
+    standard_exponential()`, and a stream serves the same variates however
+    they are batched, so a batch times the alternating 1/rate scales, summed
+    in order along its row, appends the ends one draw per interval would. A
+    batch with a non-positive duration is replayed one variate at a time, so
+    the redraw takes the next variate at the same scale. A zero rate's
+    infinite scale makes its state absorbing: every end from its own on is
+    math.inf.
+    """
+    while todo := [p for p in processes if not len(p._ends) or p._ends[-1] <= t]:
+        starts = [p._ends[-1] if len(p._ends) else 0.0 for p in todo]
+        # OFF/ON pairs enough to pass t with a wide margin
+        pairs = max(int((t - start) / sum(p._scales) * 1.25) + 8 for p, start in zip(todo, starts))
+        draws = np.array([p._rng.standard_exponential(2 * pairs) for p in todo])
+        # each row's scales in pairs, (ON, OFF) where its next interval is ON
+        scales = np.array([p._scales[::-1] if (p._passed + len(p._ends)) % 2 else p._scales for p in todo])
+        durations = (draws.reshape(len(todo), pairs, 2) * scales[:, None]).reshape(len(todo), 2 * pairs)
+        positive = (durations > 0.0).all(axis=1).tolist()
+        durations[:, 0] += starts
+        for p, row, ok, batch in zip(todo, np.cumsum(durations, axis=1), positive, draws):
+            if not ok:
+                ends = p._ends.tolist()
+                for x in batch.tolist():
+                    d = x * p._scales[(p._passed + len(ends)) % 2]
+                    if d > 0.0:
+                        ends.append((ends[-1] if ends else 0.0) + d)
+                row = ends[len(p._ends):]
+            p._ends = np.concatenate((p._ends, row))
 
-        The trace is extended in batches, which may draw past the last instant
-        asked for; the stream is private to this channel, so drawing ahead
-        changes nothing the trace holds.
-        """
-        if len(times) == 0 or times[0] < self._last:
-            raise InvalidParameterError(
-                f"times must be nonempty and start at or after {self._last}, the last instant served"
-            )
-        last = self._last = float(times[-1])
-        if self.rates.lambda_y == 0.0:
-            return np.zeros(len(times), dtype=bool)
-        self._extend(last)
-        ends = self._ends
-        passed = bisect_right(ends, last)  # intervals that end by `last`
-        window = np.fromiter(ends[:passed + 1], dtype=float, count=passed + 1)
-        # interval index = _passed + position in window; odd indices are ON
-        busy = (np.searchsorted(window, times, side="right") & 1) != (self._passed & 1)
-        del ends[:passed]
-        self._passed += passed
-        return busy
+
+def busy_bits(processes: list[ChannelProcess], first: int, width: int) -> np.ndarray:
+    """Busy bits of every process at the half-slot instants (first + k) / 2,
+    k < width, one row per process; `first` may not precede the last
+    half-slot an earlier call served.
+
+    An end e has passed instant h / 2 iff ceil(2e) <= h, exactly, as 2e and
+    h / 2 are exact in binary floating point. So each end flips its state from
+    half-slot ceil(2e) on, and one bincount of the flips, summed along each
+    row, counts the ends passed at every instant, as the reference's search
+    with side="right" does; the count's parity is the state.
+    """
+    if width < 1 or any(first < p._last for p in processes):
+        raise InvalidParameterError(f"need half-slots from the last one served on, got {width} from {first}")
+    last = first + width - 1
+    _draw_ends(processes, last * 0.5)
+    sizes = [len(p._ends) for p in processes]
+    flips = np.clip(np.ceil(2.0 * np.concatenate([p._ends for p in processes])) - first, 0, width)
+    flips = flips.astype(np.intp) + np.repeat(np.arange(0, len(processes) * (width + 1), width + 1), sizes)
+    counts = np.bincount(flips, minlength=len(processes) * (width + 1)).reshape(-1, width + 1)
+    kept = counts[:, width].tolist()  # ends past the last instant
+    counts[:, 0] += [p._passed for p in processes]  # odd interval indices are ON
+    # a uint8 running count wraps modulo 256, which keeps its parity
+    busy = (np.cumsum(counts[:, :width], axis=1, dtype=np.uint8) & 1).view(bool)
+    for p, size, k in zip(processes, sizes, kept):
+        p._ends = p._ends[size - k:]
+        p._passed += size - k
+        p._last = last
+    return busy

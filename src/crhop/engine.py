@@ -22,11 +22,12 @@ The loop runs in blocks of half-slots. Block b covers the same slots in every
 run: blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS, and a
 run reads its last block only up to its budget. At the start of a block the
 run takes from its Environment every node's channels and every channel's
-busy bits at the block's half-slot instants, and scans each node's
-neighbours for one on the same idle channel. The procedure above runs only
-for the nodes that have one (every node when tracing), and skips those that
-are silent; any other idle node is a cluster of one, whose lone D-REQ, if it
-is incomplete, is counted from the block arrays.
+busy bits at the block's half-slot instants, each drawn for the whole
+population in one pass, and scans each node's neighbours for one on the same
+idle channel. The procedure above runs only for the nodes that have one
+(every node when tracing), and skips those that are silent; any other idle
+node is a cluster of one, whose lone D-REQ, if it is incomplete, is counted
+from the block arrays.
 
 Neighbor tables, tuned sets and clusters are bitmasks of node ids (bit i is
 node i), decoded to ascending id lists only for an election or a trace row.
@@ -45,7 +46,8 @@ first run that asks. Neither sharing nor drawing past a run's budget or a
 node's silence can change a record: each node's strategy stream and each
 channel's occupancy stream is private to it, so a block is a pure function of
 those streams and its slots, and silence is permanent, so a silent node never
-needs its rows.
+needs its rows; and a block drawn for every node or channel at once reads
+each stream as one drawn for each in turn would.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ from operator import itemgetter
 
 import numpy as np
 
-from .activity import ACTIVITY_CLASSES, OFF, ON, ChannelProcess, make_profile
+from .activity import ACTIVITY_CLASSES, OFF, ON, ChannelProcess, busy_bits, make_profile
 from .errors import InvalidParameterError
 from .handshake import D_REQ, HANDSHAKE_KINDS, HANDSHAKE_SIZES, NeighborTables, run_handshake
-from .protocols import STRATEGIES, STRATEGY_KINDS, make_strategy
+from .protocols import STRATEGIES, STRATEGY_KINDS, channel_table, make_strategy
 from .seeding import labeled_rng, root_sequence, uniform_index
 from .spectrum import SpectrumMap, assign_channels
 from .topology import Topology, from_positions, generate_topology
@@ -146,8 +148,10 @@ class Scenario:
             raise InvalidParameterError("emca_window must be positive (use inf for unbounded)")
         if self.positions is not None and len(self.positions) != self.nodes:
             raise InvalidParameterError("positions, when given, must list every node")
-        if self.rates_table is not None and len(self.rates_table) < 1:
-            raise InvalidParameterError("rates_table override must not be empty")
+        if self.rates_table is not None:
+            if len(self.rates_table) < 1:
+                raise InvalidParameterError("rates_table override must not be empty")
+            make_profile(self.activity, self.channels, table=self.rates_table)  # has the rows the class reads
 
     def environment_key(self) -> str:
         """Identity of everything the protocol/handshake axes must share.
@@ -192,18 +196,20 @@ class RunRecord:
 
 class Environment:
     """What every run on one (environment key, seed) shares: the topology,
-    channel sets and occupancy processes, and the blocks drawn from them,
-    indexed by block (every node's channels for one strategy class at a time,
-    as mmca and memca share one, and each channel's busy bits)."""
+    channel sets and occupancy processes (one per channel, in channel order),
+    and the blocks drawn from them, indexed by block (every node's channels
+    for one strategy class at a time, as mmca and memca share one, and each
+    channel's busy bits)."""
 
     def __init__(self, key: str, seed, topology: Topology, smap: SpectrumMap,
-                 processes: dict[int, ChannelProcess]):
+                 processes: list[ChannelProcess]):
         self.key, self.seed, self.root = key, seed, root_sequence(seed)
         self.topology, self.smap, self.processes = topology, smap, processes
         self._busy: list[np.ndarray] = []
         self._clock = None  # strategy class of _hops
         self._hops: list[np.ndarray] = []
         self._strategies: list = []
+        self._table = None  # _clock's channel table of _strategies
 
     def block(self, protocol: str, b: int) -> tuple[np.ndarray, np.ndarray]:
         """(hops, busy) of block b: every node's channels under `protocol`'s
@@ -222,18 +228,17 @@ class Environment:
                 make_strategy(protocol, cu, labeled_rng(self.root, f"strategy/{i}"))
                 for i, cu in enumerate(self.smap.available)
             ]
+            self._table = channel_table(self._strategies)
         slots = min(FIRST_BLOCK_SLOTS << b, MAX_BLOCK_SLOTS)
         if b == len(self._hops):
             hops = np.zeros((len(self._strategies) + 1, 2 * slots), np.min_scalar_type(len(self.processes)))
-            hops[:-1] = [s.hops(slots) for s in self._strategies]
+            hops[:-1] = self._clock.block(self._strategies, self._table, slots)
             hops.setflags(write=False)  # every run on the environment reads it
             self._hops.append(hops)
         if b == len(self._busy):
             start = sum(block.shape[1] for block in self._busy)  # half-slots before block b
-            times = (start + np.arange(2 * slots)) * 0.5
             busy = np.zeros((len(self.processes) + 1, 2 * slots), dtype=bool)
-            for channel, process in self.processes.items():
-                busy[channel] = process.busy_at(times)
+            busy[1:] = busy_bits(self.processes, start, 2 * slots)
             busy.setflags(write=False)
             self._busy.append(busy)
         return self._hops[b], self._busy[b]
@@ -265,10 +270,7 @@ def build_environment(scenario: Scenario, seed) -> Environment:
         per_node_size=scenario.per_node_size,
     )
     rates = make_profile(scenario.activity, scenario.channels, table=scenario.rates_table)
-    processes = {
-        ch: ChannelProcess(rates[ch - 1], labeled_rng(root, f"pr/{ch}"))
-        for ch in range(1, scenario.channels + 1)
-    }
+    processes = [ChannelProcess(r, labeled_rng(root, f"pr/{ch}")) for ch, r in enumerate(rates, 1)]
     return Environment(scenario.environment_key(), seed, topo, smap, processes)
 
 

@@ -6,13 +6,14 @@ slot. The dual-clock strategy hops its prime channels in the first half and
 its non-prime channels in the second; the baselines advance a single clock
 once per half-slot over the full available set.
 
-`hops(slots)` returns the channels of the next `slots` whole slots at once,
-in half-slot order, and leaves the strategy in the state that `slots` rounds
-of `select(1)`, `select(2)` would: same channels, same stream consumption.
-A modular clock is affine within a rate epoch, so a block is a cumulative
-sum over rates repeated per epoch. Batched `integers(bound, size=k)` draws
-equal k scalar draws on the same stream. `select` stays as the sequential
-reference the block form is tested against.
+A strategy class's `block(nodes, table, slots)` returns every node's channels
+for the next `slots` whole slots, one row per node in half-slot order, and
+leaves each node as `slots` rounds of `select(1)`, `select(2)` would: same
+channels, same stream consumption. A modular clock is affine within a rate
+epoch, so a population's block is one np.repeat of rates per epoch, one cumsum
+and one gather through its `channel_table`; each node draws from its own
+stream, where `integers(bound, size=k)` equals k scalar draws. `select` stays
+as the reference, and serves mdmca nodes with an empty prime or non-prime list.
 """
 
 from __future__ import annotations
@@ -23,20 +24,43 @@ from .errors import InvalidParameterError, NoChannelError
 from .spectrum import is_prime, partition_prime
 
 
-def _epoch_rates(current, first: int, period: int, count: int, draw) -> np.ndarray:
-    """Per-step rates of the next `count` clock steps.
+def _clocks(start: list, current: list, first: list, period: list, modulus: list, count: int, draw):
+    """(clocks, last): every node's clock values over its next `count` steps,
+    shape (nodes, count, clocks), and its rates at the last step. Node i's
+    clocks start at start[i] and step by its current rates for first[i] steps;
+    then draw(i, k) supplies k fresh rate tuples as a (k, clocks) array, each
+    held for period[i] steps. int32 holds every sum: moduli stay below a few
+    thousand and a block below 600 steps."""
+    values, repeats = [], []
+    for i, (rate, held, length) in enumerate(zip(current, first, period)):
+        values += rate
+        repeats.append(min(held, count))
+        if held < count:
+            k = (count - held - 1) // length + 1
+            values += draw(i, k).ravel().tolist()
+            repeats += [length] * (k - 1) + [count - held - (k - 1) * length]
+    rates = np.repeat(np.array(values, dtype=np.int32).reshape(-1, len(start[0])), repeats, axis=0)
+    rates = rates.reshape(len(start), count, -1)
+    last = rates[:, -1].tolist()
+    rates[:, 0] += start
+    clocks = np.cumsum(rates, axis=1, dtype=np.int32)
+    return np.remainder(clocks, np.array(modulus, dtype=np.int32)[:, None, None], out=clocks), last
 
-    The current rate holds for the `first` steps before the next redraw, then
-    `draw(k)` supplies k fresh rates, each held for `period` steps. `draw`
-    returns an array of shape (k, ...) and `current` matches its trailing
-    shape.
-    """
-    held = np.full((min(first, count), *np.shape(current)), current)
-    if first >= count:
-        return held
-    k = (count - first - 1) // period + 1
-    fresh = np.repeat(draw(k), period, axis=0)[: count - first]
-    return np.concatenate((held, fresh)) if first else fresh
+
+def channel_table(nodes: list) -> np.ndarray:
+    """Every node's channel lists cycled to the population's largest modulus,
+    so that a clock value indexes them: entry (i, l, j) is node i's l-th list
+    at j mod its length, and 0 for an empty list. Built once per population;
+    ids fit 16 bits, as pools stop at 4,096 channels."""
+    width = max(s.modulus for s in nodes)
+    cycled = [[(list(c) * (width // len(c) + 1))[:width] if c else [0] * width for c in s.lists] for s in nodes]
+    return np.array(cycled, dtype=np.uint16)
+
+
+def _lookup(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[i, l, index[i, s, l]] for every node i, step s and list l: one row per node."""
+    rows = np.arange(0, table.size, table.shape[-1], dtype=index.dtype).reshape(len(table), 1, -1)
+    return np.take(table, index + rows).reshape(len(table), -1)
 
 
 def smallest_prime_at_least(n: int) -> int:
@@ -66,6 +90,7 @@ class MdmcaStrategy:
             raise NoChannelError("empty available channel set")
         self.mp, self.np_ = (tuple(s) for s in partition_prime(self.cu))
         self.m = len(self.cu)
+        self.lists, self.modulus = (self.mp, self.np_), self.m  # channel_table's view of the clocks
         self._rng = rng
         self.j1 = int(rng.integers(self.m))
         self.j2 = int(rng.integers(self.m))
@@ -93,26 +118,27 @@ class MdmcaStrategy:
         self.t = (self.t + 1) % self.m
         return c2
 
-    def hops(self, slots: int) -> np.ndarray:
-        """Channels of the next `slots` slots, both halves of each, in order."""
-        if not (self.mp and self.np_):
-            # Either list empty: the halves can collide, and the nudge that
-            # resolves a collision moves clock 2 for every later slot.
-            return np.array([self.select(half) for _ in range(slots) for half in (1, 2)])
-        m = self.m
-        rates = _epoch_rates(
-            (self.r1, self.r2), (-self.t) % m, m, slots,
-            lambda k: self._rng.integers(m, size=(k, 2)),
-        )
-        clocks = (np.cumsum(rates, axis=0) + (self.j1, self.j2)) % m
-        self.r1, self.r2 = rates[-1].tolist()
-        self.j1, self.j2 = clocks[-1].tolist()
-        self.t = (self.t + slots) % m
-        # clock value -> channel, per half: row 0 prime list, row 1 non-prime
-        cycled = np.array([(lst * (m // len(lst) + 1))[:m] for lst in (self.mp, self.np_)])
-        out = cycled[(0, 1), clocks]
-        self._c1 = int(out[-1, 0])
-        return out.ravel()
+    @staticmethod
+    def block(nodes: list[MdmcaStrategy], table: np.ndarray, slots: int) -> np.ndarray:
+        """Every node's channels of the next `slots` slots, both halves of each."""
+        out = np.empty((len(nodes), 2 * slots), np.uint16)
+        rows = [i for i, s in enumerate(nodes) if s.mp and s.np_]
+        for i, s in enumerate(nodes):
+            if not (s.mp and s.np_):
+                # Either list empty: the halves can collide, and the nudge that
+                # resolves a collision moves clock 2 for every later slot.
+                out[i] = [s.select(half) for _ in range(slots) for half in (1, 2)]
+        if rows:
+            clocked = [nodes[i] for i in rows]
+            clocks, last = _clocks(
+                [(s.j1, s.j2) for s in clocked], [(s.r1, s.r2) for s in clocked],
+                [(-s.t) % s.m for s in clocked], [s.m for s in clocked], [s.m for s in clocked], slots,
+                lambda i, k: clocked[i]._rng.integers(clocked[i].m, size=(k, 2)),
+            )
+            out[rows] = _lookup(table[rows], clocks)
+            for s, (r1, r2), (j1, j2), c1 in zip(clocked, last, clocks[:, -1].tolist(), out[rows, -2].tolist()):
+                s.r1, s.r2, s.j1, s.j2, s._c1, s.t = r1, r2, j1, j2, c1, (s.t + slots) % s.m
+        return out
 
 
 class MrcsStrategy:
@@ -124,14 +150,16 @@ class MrcsStrategy:
         self.cu = tuple(sorted(channels))
         if not self.cu:
             raise NoChannelError("empty available channel set")
+        self.lists, self.modulus = (self.cu,), len(self.cu)
         self._rng = rng
 
     def select(self, half: int) -> int:
         return self.cu[int(self._rng.integers(len(self.cu)))]
 
-    def hops(self, slots: int) -> np.ndarray:
-        """Channels of the next `slots` slots, both halves of each, in order."""
-        return np.array(self.cu)[self._rng.integers(len(self.cu), size=2 * slots)]
+    @staticmethod
+    def block(nodes: list[MrcsStrategy], table: np.ndarray, slots: int) -> np.ndarray:
+        """Every node's channels of the next `slots` slots, both halves of each."""
+        return _lookup(table, np.array([s._rng.integers(s.modulus, size=2 * slots) for s in nodes])[..., None])
 
 
 class MmcaStrategy:
@@ -150,6 +178,7 @@ class MmcaStrategy:
             raise NoChannelError("empty available channel set")
         self.m = len(self.cu)
         self.p = smallest_prime_at_least(self.m)
+        self.lists, self.modulus = (self.cu,), self.p
         self._rng = rng
         self.j = int(rng.integers(self.p))
         self.r = 0
@@ -162,18 +191,17 @@ class MmcaStrategy:
         self.j = (self.j + self.r) % self.p
         return self.cu[self.j if self.j < self.m else self.j % self.m]
 
-    def hops(self, slots: int) -> np.ndarray:
-        """Channels of the next `slots` slots, both halves of each, in order."""
-        period = 2 * self.p
-        rates = _epoch_rates(
-            self.r, (-self._steps) % period, period, 2 * slots,
-            lambda k: self._rng.integers(self.p, size=k),
+    @staticmethod
+    def block(nodes: list[MmcaStrategy], table: np.ndarray, slots: int) -> np.ndarray:
+        """Every node's channels of the next `slots` slots, both halves of each."""
+        clocks, last = _clocks(
+            [(s.j,) for s in nodes], [(s.r,) for s in nodes], [(-s._steps) % (2 * s.p) for s in nodes],
+            [2 * s.p for s in nodes], [s.p for s in nodes], 2 * slots,
+            lambda i, k: nodes[i]._rng.integers(nodes[i].p, size=k),
         )
-        clock = (np.cumsum(rates) + self.j) % self.p
-        self.r = int(rates[-1])
-        self.j = int(clock[-1])
-        self._steps = (self._steps + 2 * slots) % period
-        return np.array(self.cu)[clock % self.m]
+        for s, (r,), (j,) in zip(nodes, last, clocks[:, -1].tolist()):
+            s.r, s.j, s._steps = r, j, (s._steps + 2 * slots) % (2 * s.p)
+        return _lookup(table, clocks)
 
 
 # memca shares mmca's clock; it differs only in its termination policy,

@@ -109,6 +109,12 @@ CASES = [
           area=WIDE_AREA, max_slots=2_000, protocol="mmca", handshake="2wh"),
     _case("wide/N200/mdmca/3wh", 5, nodes=200, channels=20, mode="asym", m=2,
           area=WIDE_AREA, max_slots=600),
+    # Half of the nodes hold {1, 2} (array rows) and half {1, 4}, whose empty
+    # prime list sends them through select, in every block.
+    _case("mixed-rows/mdmca/3wh", 28, nodes=8, channels=4, mode="asym", m=1, per_node_size=2),
+    # Every activity class in one occupancy pass; the last node completes in block 2.
+    _case("mix-pass/N20/mmca/2wh", 31, nodes=20, channels=20, mode="asym", m=2, activity="mix",
+          area=WIDE_AREA, max_slots=2_000, protocol="mmca", handshake="2wh"),
 ]
 
 

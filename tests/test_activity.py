@@ -14,6 +14,7 @@ from crhop.activity import (
     ActivityRates,
     ON,
     ChannelProcess,
+    busy_bits,
     make_profile,
     state_probabilities,
     utilization,
@@ -145,8 +146,7 @@ class TestChannelProcess:
     def test_same_stream_same_intervals(self):
         a = ChannelProcess(CH4, np.random.default_rng(11))
         b = ChannelProcess(CH4, np.random.default_rng(11))
-        times = np.arange(1000) * 0.5
-        assert a.busy_at(times).tolist() == b.busy_at(times).tolist()
+        assert busy_bits([a], 0, 1000).tolist() == busy_bits([b], 0, 1000).tolist()
 
     def test_growing_horizon_extends_not_rewrites(self):
         ends, rng = [], np.random.default_rng(3)
@@ -172,27 +172,30 @@ class TestChannelProcess:
 
     def test_is_busy_zero_class(self):
         proc = ChannelProcess(ActivityRates(1000.0, 0.0), np.random.default_rng(0))
-        assert not proc.busy_at(np.array([0.0, 0.5, 17.25, 9999.0])).any()
+        assert not busy_bits([proc], 0, 36).any()  # 0.0 to 17.5
+        assert not busy_bits([proc], 19_996, 3).any()  # 9998.0 to 9999.0
 
     def test_is_busy_starts_off(self):
         for rates in (CH4, CH2):
             proc = ChannelProcess(rates, np.random.default_rng(8))
-            assert not proc.busy_at(np.array([0.0]))[0]
+            assert not busy_bits([proc], 0, 1)[0, 0]
 
     def test_is_busy_frequency_matches_utilization(self):
+        # every half-slot instant of 100,000 s, in one pass
         proc = ChannelProcess(CH4, np.random.default_rng(21))
-        rng = np.random.default_rng(99)
-        times = np.sort(rng.uniform(0.0, 100_000.0, size=20_000))
-        frac = proc.busy_at(times).mean()
+        frac = busy_bits([proc], 0, 200_000).mean()
         assert abs(frac - utilization(CH4)) <= 0.02
 
     def test_is_busy_boundaries_half_open(self):
-        ends = []
-        reference.extend(ends, CH4, np.random.default_rng(2), 50.0)
-        proc = ChannelProcess(CH4, np.random.default_rng(2))
-        # the first OFF interval ends and ON begins at ends[0]; OFF resumes at ends[1]
-        busy = proc.busy_at(np.array([ends[0] - 1e-9, ends[0], ends[1]]))
-        assert busy.tolist() == [False, True, False]
+        # The first OFF interval ends and ON begins at 1.0; OFF resumes at 2.5.
+        proc = ChannelProcess(ActivityRates(0.5, 1.0), VariateStub([1.0, 0.75]))
+        assert busy_bits([proc], 0, 7).tolist() == [[False, False, True, True, True, False, False]]
+
+    @pytest.mark.parametrize("nudge, busy_from", [(-(2.0**-40), 2), (0.0, 2), (2.0**-40, 3)])
+    def test_an_end_flips_the_first_half_slot_at_or_after_it(self, nudge, busy_from):
+        # ceil(2 * end) is the first half-slot whose instant the end has passed
+        proc = ChannelProcess(ActivityRates(0.001, 1.0), VariateStub([1.0 + nudge]))
+        assert busy_bits([proc], 0, 5)[0].tolist() == [k >= busy_from for k in range(5)]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -225,7 +228,8 @@ class VariateStub:
 
 
 class TestBusyBlocks:
-    """busy_at(times) must equal the scalar is_busy(t) at every instant, block after block."""
+    """busy_bits must equal the scalar is_busy(t) at every instant of every
+    process it serves, block after block."""
 
     RATES = (
         ActivityRates(1000.0, 0.0),  # zero class: never busy
@@ -238,24 +242,33 @@ class TestBusyBlocks:
     )
 
     @staticmethod
-    def check(rates, rng_a, rng_b, widths):
-        ref_ends = []
-        blk = ChannelProcess(rates, rng_b)
+    def check(rates, make_rng, widths):
+        """One pass per width over a process per entry of `rates`, each with
+        the stream make_rng(i), against the oracle on a stream of its own."""
+        oracles = [([], make_rng(i)) for i in range(len(rates))]
+        procs = [ChannelProcess(r, make_rng(i)) for i, r in enumerate(rates)]
         start = 0
         for width in widths:
-            times = np.arange(start, start + width) * 0.5
-            got = blk.busy_at(times)
-            assert got.dtype == bool and got.shape == (width,)
-            assert got.tolist() == [reference.is_busy(ref_ends, rates, rng_a, float(t)) for t in times]
+            got = busy_bits(procs, start, width)
+            assert got.dtype == bool and got.shape == (len(procs), width)
+            for row, r, (ends, rng) in zip(got.tolist(), rates, oracles):
+                assert row == [reference.is_busy(ends, r, rng, (start + k) * 0.5) for k in range(width)]
             start += width
         # the retained ends are the oracle's from index _passed on
-        shared = min(len(ref_ends) - blk._passed, len(blk._ends))
-        assert blk._ends[:shared] == ref_ends[blk._passed : blk._passed + shared]
+        for proc, (ends, _) in zip(procs, oracles):
+            shared = min(len(ends) - proc._passed, len(proc._ends))
+            assert proc._ends[:shared].tolist() == ends[proc._passed : proc._passed + shared]
 
     @pytest.mark.parametrize("rates", RATES, ids=repr)
     def test_half_slot_blocks_match_is_busy(self, rates):
         for seed in range(8):
-            self.check(rates, np.random.default_rng(seed), np.random.default_rng(seed),
+            self.check([rates], lambda i: np.random.default_rng(seed), (128, 256, 512, 512, 3, 1))
+
+    def test_every_class_in_one_pass_matches_is_busy(self):
+        # zero (lambda_y = 0), absorbing (lambda_x = 0), low, long and high
+        # channels share each pass, so their batches share rows of one array.
+        for seed in range(6):
+            self.check(self.RATES + tuple(make_profile("mix", 8)), lambda i: np.random.default_rng([seed, i]),
                        (128, 256, 512, 512, 3, 1))
 
     @settings(max_examples=60, deadline=None)
@@ -266,8 +279,18 @@ class TestBusyBlocks:
         widths=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=4),
     )
     def test_random_rates_match_is_busy(self, lx, ly, seed, widths):
-        self.check(ActivityRates(lx, ly), np.random.default_rng(seed),
-                   np.random.default_rng(seed), widths)
+        self.check([ActivityRates(lx, ly)], lambda i: np.random.default_rng(seed), widths)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rates=st.lists(
+            st.one_of(rates_strategy(), st.sampled_from(RATES)), min_size=1, max_size=6
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        widths=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=4),
+    )
+    def test_random_populations_match_is_busy(self, rates, seed, widths):
+        self.check(rates, lambda i: np.random.default_rng([seed, i]), widths)
 
     def test_zero_draw_is_redrawn_at_the_same_scale(self):
         # The second holding time (ON, scale 1/lambda_x) first draws 0.0;
@@ -279,12 +302,18 @@ class TestBusyBlocks:
         ref_ends = []
         reference.is_busy(ref_ends, rates, VariateStub(head), 0.55)
         assert ref_ends[:3] == want
-        self.check(rates, VariateStub(head), VariateStub(head), (1, 2, 16))
+        self.check([rates], lambda i: VariateStub(head), (1, 2, 16))
         blk = ChannelProcess(rates, VariateStub(head))
-        blk.busy_at(np.array([0.0]))
-        assert (blk._passed, blk._ends[:3]) == (0, want)
-        blk.busy_at(np.array([0.5]))  # passes the two intervals ending by 0.5
+        busy_bits([blk], 0, 1)
+        assert (blk._passed, blk._ends[:3].tolist()) == (0, want)
+        busy_bits([blk], 1, 1)  # passes the two intervals ending by 0.5
         assert (blk._passed, blk._ends[0]) == (2, want[2])
+
+    def test_zero_draw_replay_beside_batched_channels(self):
+        # The replayed batch sits in one pass with channels whose batches are not.
+        head = [1.0, 0.0, 0.5, 0.25, 0.0, 0.0, 2.0]
+        rates = (ActivityRates(2.0, 4.0), CH4, ActivityRates(0.0, 0.5), ActivityRates(1000.0, 0.0), CH2)
+        self.check(rates, lambda i: VariateStub(head) if i == 0 else np.random.default_rng(i), (1, 2, 16, 300))
 
     @pytest.mark.parametrize("rates", [CH4, ActivityRates(0.5, 40.0)], ids=repr)
     def test_retained_ends_stay_within_a_block(self, rates):
@@ -294,20 +323,22 @@ class TestBusyBlocks:
         width = 512  # half-slots per block
         bound = 2 * 2 * (width * 0.5) / (1.0 / rates.lambda_x + 1.0 / rates.lambda_y)
         for b in range(200):
-            proc.busy_at((b * width + np.arange(width)) * 0.5)
+            busy_bits([proc], b * width, width)
             assert len(proc._ends) <= bound, b
 
     def test_times_must_be_nonempty_and_nonnegative(self):
         proc = ChannelProcess(CH4, np.random.default_rng(2))
         with pytest.raises(InvalidParameterError):
-            proc.busy_at(np.array([]))
+            busy_bits([proc], 0, 0)
         with pytest.raises(InvalidParameterError):
-            proc.busy_at(np.array([-0.5, 0.0]))
+            busy_bits([proc], -1, 2)
 
     @pytest.mark.parametrize("rates", [CH4, ActivityRates(1000.0, 0.0)], ids=repr)
     def test_times_must_not_precede_the_previous_call(self, rates):
-        proc = ChannelProcess(rates, np.random.default_rng(2))
-        proc.busy_at(np.array([0.0, 10.0]))
+        proc, other = ChannelProcess(rates, np.random.default_rng(2)), ChannelProcess(CH2, np.random.default_rng(3))
+        busy_bits([proc], 0, 21)  # up to 10.0
         with pytest.raises(InvalidParameterError):
-            proc.busy_at(np.array([9.5, 10.5]))
-        proc.busy_at(np.array([10.0, 10.5]))  # may start at the previous call's last instant
+            busy_bits([proc], 19, 2)  # 9.5 and 10.5
+        with pytest.raises(InvalidParameterError):
+            busy_bits([other, proc], 19, 2)  # any process of the pass counts
+        busy_bits([proc], 20, 2)  # may start at the previous call's last instant

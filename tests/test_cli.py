@@ -271,6 +271,22 @@ def test_rates_table_without_a_row_for_the_class_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_short_rates_table_exits_2_before_making_the_output_directory(command, tmp_path, capsys):
+    # a high profile reads rows 4, 8, ...; two rows hold none of them
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps([[1.0, 1.0], [2.0, 0.5]]))
+    if command == "run":
+        flags = ["--nodes", "3", "--runs", "1", "--activity", "high", "--rates", str(rates)]
+    else:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"rates_file = {rates}\nactivities = zero,high\nnodes = 3\nruns = 1\n")
+        flags = ["--config", str(cfg)]
+    assert main([command, *flags, "--out", str(tmp_path / "out")]) == 2
+    assert "needs a rates table of at least 4 rows, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_positions_reach_the_sweep_outputs(tmp_path):
     positions = tmp_path / "chain.txt"
     positions.write_text("0 0 0\n1 90 0\n2 180 0\n")

@@ -19,6 +19,7 @@ from crhop.protocols import (
     MdmcaStrategy,
     MmcaStrategy,
     MrcsStrategy,
+    channel_table,
     make_strategy,
     smallest_prime_at_least,
 )
@@ -227,12 +228,18 @@ def test_make_strategy_dispatch():
 
 
 def select_reference(strat, slots):
-    """`slots` rounds of select(1), select(2): the sequential form of hops()."""
+    """`slots` rounds of select(1), select(2): the sequential form of a hop block."""
     return [strat.select(half) for _ in range(slots) for half in (1, 2)]
 
 
+def population_hops(nodes, table, slots):
+    """The population form: every node's channels of the next `slots` slots."""
+    return type(nodes[0]).block(nodes, table, slots)
+
+
 class TestHopBlocks:
-    """hops(slots) must equal repeated select() and consume the stream alike."""
+    """A population's hop block must equal repeated select() on every node and
+    consume each node's stream alike."""
 
     CHANNEL_SETS = (
         (2, 3, 5, 7),  # primes only: mdmca's non-prime list is empty
@@ -245,23 +252,32 @@ class TestHopBlocks:
         tuple(range(1, 21)),
     )
 
-    def check(self, kind, cu, seed, blocks):
-        ref = make_strategy(kind, cu, np.random.default_rng(seed))
-        blk = make_strategy(kind, cu, np.random.default_rng(seed))
-        for slots in blocks:
-            got = blk.hops(slots)
-            assert got.shape == (2 * slots,)
-            assert got.tolist() == select_reference(ref, slots)
-        # Same stream position: the next draws agree, and so does the next
+    @staticmethod
+    def check(kind, sets, seed, steps):
+        """Run `steps` of (as_block, slots) on a population of one node per
+        channel set, against a copy stepped one select at a time."""
+        refs = [make_strategy(kind, cu, np.random.default_rng([seed, i])) for i, cu in enumerate(sets)]
+        nodes = [make_strategy(kind, cu, np.random.default_rng([seed, i])) for i, cu in enumerate(sets)]
+        table = channel_table(nodes)
+        for as_block, slots in steps:
+            want = [select_reference(ref, slots) for ref in refs]
+            if as_block:
+                got = population_hops(nodes, table, slots)
+                assert got.shape == (len(nodes), 2 * slots)
+                assert got.tolist() == want
+            else:
+                assert [select_reference(node, slots) for node in nodes] == want
+        # Same stream positions: the next draws agree, and so does the next
         # half-slot pair taken one select at a time.
-        assert select_reference(blk, 3) == select_reference(ref, 3)
-        assert int(blk._rng.integers(2**31)) == int(ref._rng.integers(2**31))
+        for node, ref in zip(nodes, refs):
+            assert select_reference(node, 3) == select_reference(ref, 3)
+            assert int(node._rng.integers(2**31)) == int(ref._rng.integers(2**31))
 
     @pytest.mark.parametrize("kind", ["mdmca", "mrcs", "mmca", "memca"])
     @pytest.mark.parametrize("cu", CHANNEL_SETS)
     def test_fixed_sets_match_select(self, kind, cu):
         for seed in range(5):
-            self.check(kind, cu, seed, (1, 2, 7, 32, 64, 128))
+            self.check(kind, [cu], seed, [(True, slots) for slots in (1, 2, 7, 32, 64, 128)])
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -271,14 +287,42 @@ class TestHopBlocks:
         blocks=st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=4),
     )
     def test_random_sets_match_select(self, kind, cu, seed, blocks):
-        self.check(kind, sorted(cu), seed, blocks)
+        self.check(kind, [sorted(cu)], seed, [(True, slots) for slots in blocks])
 
     def test_blocks_interleave_with_select(self):
         for kind in ("mdmca", "mrcs", "mmca"):
-            ref = make_strategy(kind, range(1, 11), np.random.default_rng(9))
-            mixed = make_strategy(kind, range(1, 11), np.random.default_rng(9))
-            got = []
-            for slots in (3, 10, 1, 25):
-                got += mixed.hops(slots).tolist()
-                got += select_reference(mixed, slots)
-            assert got == select_reference(ref, 78)
+            steps = [(True, 3), (False, 3), (True, 10), (False, 10), (True, 1), (False, 1), (True, 25), (False, 25)]
+            self.check(kind, [range(1, 11)], 9, steps)
+
+    @pytest.mark.parametrize("kind", ["mdmca", "mrcs", "mmca"])
+    def test_every_fixed_set_in_one_population(self, kind):
+        # mdmca's select-only rows (one list empty) sit between array rows,
+        # and mmca rows of p > m share a table with wider ones.
+        for seed in range(3):
+            steps = [(True, 1), (False, 2), (True, 40), (True, 64), (False, 5), (True, 3)]
+            self.check(kind, self.CHANNEL_SETS, seed, steps)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["mdmca", "mrcs", "mmca", "memca"]),
+        sets=st.lists(
+            st.one_of(
+                st.sampled_from(CHANNEL_SETS),
+                st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=30).map(sorted),
+            ),
+            min_size=1, max_size=8,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        steps=st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=80)), min_size=1, max_size=5),
+    )
+    def test_random_populations_match_select(self, kind, sets, seed, steps):
+        self.check(kind, sets, seed, steps)
+
+    def test_table_cycles_each_list_to_the_widest_modulus(self):
+        sets = ((2, 3, 4), (1, 4, 6), tuple(range(1, 8)))
+        nodes = [make_strategy("mdmca", cu, np.random.default_rng(0)) for cu in sets]
+        table = channel_table(nodes)
+        assert table.shape == (3, 2, 7)
+        assert table[0].tolist() == [[2, 3, 2, 3, 2, 3, 2], [4, 4, 4, 4, 4, 4, 4]]
+        assert table[1].tolist() == [[0] * 7, [1, 4, 6, 1, 4, 6, 1]]  # no primes: select serves it
+        assert table[2].tolist() == [[2, 3, 5, 7, 2, 3, 5], [1, 4, 6, 1, 4, 6, 1]]
