@@ -1,7 +1,8 @@
 """Reference paths kept as test oracles, and a decoder for id masks.
 
-Occupancy: `crhop.activity.ChannelProcess` draws holding times in batches and
-keeps only the intervals ahead of the last instant it served. `draw`,
+Occupancy: `crhop.activity.busy_bits` draws holding times in batches, for
+every channel of a pass at once, and each `ChannelProcess` keeps only the
+intervals ahead of the last instant it served. `draw`,
 `extend`, `is_busy` and `sample_intervals` draw one holding time per interval
 and keep every interval end from time 0 in a list the caller owns, `ends`, so
 the block form can be checked against them bit for bit. An even index in
