@@ -64,7 +64,7 @@ from .activity import ACTIVITY_CLASSES, OFF, ON, ChannelProcess, busy_bits, make
 from .errors import InvalidParameterError
 from .handshake import D_REQ, HANDSHAKE_KINDS, HANDSHAKE_SIZES, NeighborTables, run_handshake
 from .protocols import STRATEGIES, STRATEGY_KINDS, channel_table, make_strategy
-from .seeding import labeled_rng, root_sequence, uniform_index
+from .seeding import labeled_seeds, seeded_rng, uniform_index
 from .spectrum import SpectrumMap, assign_channels
 from .topology import Topology, from_positions, generate_topology
 
@@ -202,8 +202,9 @@ class Environment:
     channel's busy bits)."""
 
     def __init__(self, key: str, seed, topology: Topology, smap: SpectrumMap,
-                 processes: list[ChannelProcess]):
-        self.key, self.seed, self.root = key, seed, root_sequence(seed)
+                 processes: list[ChannelProcess], seeds: np.ndarray):
+        self.key, self.seed = key, seed
+        self.seeds = seeds  # each node's strategy stream, then the election's; restarted per clock class, per run
         self.topology, self.smap, self.processes = topology, smap, processes
         self._busy: list[np.ndarray] = []
         self._clock = None  # strategy class of _hops
@@ -225,8 +226,8 @@ class Environment:
         if STRATEGIES[protocol] is not self._clock:
             self._clock, self._hops = STRATEGIES[protocol], []
             self._strategies = [
-                make_strategy(protocol, cu, labeled_rng(self.root, f"strategy/{i}"))
-                for i, cu in enumerate(self.smap.available)
+                make_strategy(protocol, cu, seeded_rng(row))
+                for cu, row in zip(self.smap.available, self.seeds)
             ]
             self._table = channel_table(self._strategies)
         slots = min(FIRST_BLOCK_SLOTS << b, MAX_BLOCK_SLOTS)
@@ -248,30 +249,21 @@ def build_environment(scenario: Scenario, seed) -> Environment:
     """The environment of every run of (scenario's environment key, seed).
 
     A pure function of (environment axes, seed): the protocol and handshake
-    choices never touch these streams.
+    choices never touch these streams. Every stream's seed is derived here.
     """
     scenario.validate()
-    root = root_sequence(seed)
+    c, n = scenario.channels, scenario.nodes
+    seeds = labeled_seeds(seed, ("topology", "channels", *(f"pr/{ch}" for ch in range(1, c + 1)),
+                                 *(f"strategy/{i}" for i in range(n)), "election"))
     if scenario.positions is not None:
         topo = from_positions(list(scenario.positions), scenario.radio_range)
     else:
-        topo = generate_topology(
-            scenario.nodes,
-            scenario.area,
-            scenario.radio_range,
-            labeled_rng(root, "topology"),
-        )
-    smap = assign_channels(
-        scenario.nodes,
-        scenario.channels,
-        scenario.mode,
-        labeled_rng(root, "channels"),
-        m=scenario.m,
-        per_node_size=scenario.per_node_size,
-    )
-    rates = make_profile(scenario.activity, scenario.channels, table=scenario.rates_table)
-    processes = [ChannelProcess(r, labeled_rng(root, f"pr/{ch}")) for ch, r in enumerate(rates, 1)]
-    return Environment(scenario.environment_key(), seed, topo, smap, processes)
+        topo = generate_topology(n, scenario.area, scenario.radio_range, seeded_rng(seeds[0]))
+    smap = assign_channels(n, c, scenario.mode, seeded_rng(seeds[1]), m=scenario.m,
+                           per_node_size=scenario.per_node_size)
+    rates = make_profile(scenario.activity, c, table=scenario.rates_table)
+    processes = [ChannelProcess(r, seeded_rng(row)) for r, row in zip(rates, seeds[2:])]
+    return Environment(scenario.environment_key(), seed, topo, smap, processes, seeds[2 + c:])
 
 
 def _clusters(members: int, neighbor_masks: list[int]) -> list[int]:
@@ -322,7 +314,7 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
     n = scenario.nodes
 
     if election is None:
-        draw = uniform_index(labeled_rng(environment.root, "election"))
+        draw = uniform_index(seeded_rng(environment.seeds[n]))
 
         def election(tag, options):
             return options[draw(len(options))]

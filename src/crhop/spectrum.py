@@ -7,6 +7,7 @@ and {1, 4, 6, 8, 9, 10}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
+@functools.lru_cache(maxsize=8192)  # channel ids stop at engine.MAX_CHANNELS, clock moduli just past it
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -34,8 +36,9 @@ def partition_prime(channels) -> tuple[list[int], list[int]]:
     chans = sorted(set(channels))
     if chans and chans[0] < 1:
         raise InvalidParameterError("channel ids must be positive integers")
-    prime = [c for c in chans if is_prime(c)]
-    nonprime = [c for c in chans if not is_prime(c)]
+    nonprime, prime = lists = [], []
+    for c in chans:
+        lists[is_prime(c)].append(c)
     return prime, nonprime
 
 

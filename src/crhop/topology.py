@@ -7,7 +7,7 @@ import numpy as np
 from .errors import GenerationFailureError, InvalidParameterError, read_input
 
 DEFAULT_ATTEMPT_BUDGET = 10_000
-FIRST_BATCH, MAX_BATCH = 4, 64  # few at first: a batch's work past its first hit is wasted
+FIRST_BATCH, MAX_BATCH, MAX_CELLS = 32, 128, 1 << 13  # batch sizes: see generate_topology
 
 
 def unit_disk_adjacency(points: np.ndarray, radio_range: float) -> np.ndarray:
@@ -65,8 +65,11 @@ def generate_topology(
     """Uniform placement over the area, resampled wholesale until connected.
 
     Returns the first connected of at most max_attempts attempts, drawn k at a
-    time as uniform(size=(k, n, 2)), the values of k size=(n, 2) draws (so rng
-    ends past it). GenerationFailureError flags an infeasible scenario.
+    time as random((k, n, 2)) * area, the values of k uniform(size=(n, 2))
+    draws (so rng ends past it). k doubles from FIRST_BATCH to MAX_BATCH within
+    MAX_CELLS adjacency cells (k >= 1): a batch's work past its first hit is
+    wasted. Only attempts where no node is isolated are tested for connectivity.
+    GenerationFailureError flags an infeasible scenario.
     """
     if node_count < 1:
         raise InvalidParameterError(f"node_count must be >= 1, got {node_count}")
@@ -77,9 +80,11 @@ def generate_topology(
         raise InvalidParameterError(f"area sides must be finite and positive, got {area}")
     drawn = 0
     while drawn < max_attempts:
-        size = min(max(drawn, FIRST_BATCH), MAX_BATCH, max_attempts - drawn)
-        points = rng.uniform((0.0, 0.0), (width, height), size=(size, node_count, 2))
-        hits = np.flatnonzero(connected(unit_disk_adjacency(points, radio_range)))
+        size = min(max(drawn, FIRST_BATCH), MAX_BATCH, max(MAX_CELLS // node_count**2, 1), max_attempts - drawn)
+        points = rng.random((size, node_count, 2)) * (width, height)
+        adjacency = unit_disk_adjacency(points, radio_range)
+        candidates = np.flatnonzero(adjacency.any(-1).all(-1) | (node_count == 1))
+        hits = candidates[connected(adjacency[candidates])]
         if hits.size:
             return Topology(points[hits[0]], radio_range)
         drawn += size

@@ -13,12 +13,29 @@ set-based search over the topology's neighbor sets.
 
 `ids` decodes an id bitmask (bit i is node i), the form of neighbor tables
 and clusters, into the set of ids it holds.
+
+Seeding: `crhop.seeding.labeled_seeds` derives every labeled stream's seed in
+one array pass; `labeled_rng` builds one label's stream through numpy's own
+SeedSequence, the definition that pass reproduces.
 """
 
+import hashlib
 import math
 from bisect import bisect_right
 
+import numpy as np
+
 from crhop.activity import OFF, ON
+
+
+def labeled_rng(parent: np.random.SeedSequence, label: str) -> np.random.Generator:
+    """The stream labeled `label` of `parent`: its spawn key gains the label's
+    first four little-endian SHA-256 words."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    words = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=parent.entropy, spawn_key=tuple(parent.spawn_key) + words)
+    )
 
 
 def draw(rng, rate: float) -> float:

@@ -1,15 +1,66 @@
-"""Election draws against numpy's own bounded integers.
+"""Stream seeds and election draws against numpy's own algorithms.
 
-`uniform_index(rng)(k)` reproduces `Generator.integers(k)` from a buffer of
-raw words by numpy's algorithm. The golden digests would report a numpy
-release that changes that algorithm only as changed records; these tests name
-the cause.
+`labeled_seeds` reproduces numpy's SeedSequence for every label of a parent
+in one array pass, and `uniform_index(rng)(k)` reproduces
+`Generator.integers(k)` from a buffer of raw words. The golden digests would
+report a numpy release that changes either algorithm only as changed records;
+these tests name the cause.
 """
 
 import numpy as np
 import pytest
 
-from crhop.seeding import uniform_index
+import reference
+from crhop.engine import Scenario, build_environment
+from crhop.seeding import labeled_seeds, seeded_rng, uniform_index
+
+ROOTS = [
+    *(np.random.SeedSequence(s) for s in (0, 1, 2**63, 2**64 - 1, 2**128 - 12_345)),
+    np.random.SeedSequence([3, 2**40, 7]),  # list entropy
+    np.random.SeedSequence([1, 2, 3, 4, 5, 6]),  # more entropy words than the pool holds
+    np.random.SeedSequence(5, spawn_key=(3, 2**40)),
+    np.random.SeedSequence(2**64 - 1, spawn_key=(0,)),
+]
+# Every label an N=20, C=20 environment derives, in build_environment's order.
+ENGINE_LABELS = ("topology", "channels", *(f"pr/{ch}" for ch in range(1, 21)),
+                 *(f"strategy/{i}" for i in range(20)), "election")
+
+
+def assert_streams_match(parent, labels):
+    rows = labeled_seeds(parent, labels)
+    assert rows.shape == (len(labels), 4) and rows.dtype == np.uint64
+    for row, label in zip(rows, labels):
+        ours, numpy_own = seeded_rng(row).bit_generator, reference.labeled_rng(parent, label).bit_generator
+        assert ours.state == numpy_own.state, label
+        assert ours.random_raw(8).tolist() == numpy_own.random_raw(8).tolist(), label
+
+
+@pytest.mark.parametrize("parent", ROOTS, ids=repr)
+def test_labeled_seeds_equal_seed_sequence_streams(parent):
+    assert_streams_match(parent, ENGINE_LABELS)
+
+
+def test_labeled_seeds_of_no_labels_and_of_repeated_labels():
+    assert labeled_seeds(ROOTS[0], ()).shape == (0, 4)
+    labels = ("election", "pr/1", "election", "election")
+    assert_streams_match(ROOTS[1], labels)
+    rows = labeled_seeds(ROOTS[1], labels)
+    assert (rows[0] == rows[2]).all() and (rows[0] != rows[1]).any()
+
+
+def test_one_label_equals_its_row_of_many():
+    for i, label in enumerate(ENGINE_LABELS):
+        assert (labeled_seeds(ROOTS[2], (label,))[0] == labeled_seeds(ROOTS[2], ENGINE_LABELS)[i]).all()
+
+
+def test_environment_streams_start_where_numpy_starts_them():
+    scenario = Scenario(nodes=20, channels=20, mode="asym", m=2, activity="high",
+                        protocol="mmca", handshake="3wh")
+    env = build_environment(scenario, 11)
+    parent = np.random.SeedSequence(11)
+    assert len(env.seeds) == 21
+    for row, label in zip(env.seeds, (*(f"strategy/{i}" for i in range(20)), "election")):
+        assert seeded_rng(row).bit_generator.state == reference.labeled_rng(parent, label).bit_generator.state
 
 SEEDS = [0, 7, 2**64 - 1]
 # Bounds where Lemire's method rejects a noticeable share of its draws.

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import reference
 from crhop.errors import GenerationFailureError, InvalidParameterError
-from crhop.topology import Topology, from_positions, generate_topology, load_positions
+from crhop.topology import (
+    FIRST_BATCH, MAX_BATCH, MAX_CELLS, Topology, from_positions, generate_topology, load_positions,
+)
 
 
 def neighbor_sets(topo):
@@ -80,16 +82,51 @@ def test_batched_sampler_matches_per_attempt_reference(node_count, width, height
     assert_matches_reference(node_count, (width, height), radio_range, seed, max_attempts=300)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    node_count=st.integers(2, 12),
+    range_share=st.floats(0.02, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_sampler_matches_reference_where_isolated_nodes_are_common(node_count, range_share, seed):
+    # Short ranges: most attempts have an isolated node and skip the connectivity test.
+    assert_matches_reference(node_count, (100.0, 100.0), range_share * 100.0, seed, max_attempts=200)
+
+
+@pytest.mark.parametrize("radio_range", [30.0, 100.0, 160.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_nodes_are_accepted_exactly_when_in_range(radio_range, seed):
+    # In range on the first attempt, or out of it for some attempts first.
+    assert_matches_reference(2, (100.0, 100.0), radio_range, seed, max_attempts=500)
+    topo = generate_topology(2, (100.0, 100.0), radio_range, np.random.default_rng(seed))
+    assert math.dist(*topo.positions) <= radio_range and topo.neighbor_masks == (2, 1)
+
+
+def test_two_nodes_out_of_range_everywhere_exhaust_the_budget():
+    with pytest.raises(GenerationFailureError):
+        generate_topology(2, (100.0, 100.0), 1e-6, np.random.default_rng(0), max_attempts=300)
+
+
 @pytest.mark.parametrize("node_count", [10, 50, 100])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_sampler_matches_reference_at_default_geometry(node_count, seed):
     assert_matches_reference(node_count, (400.0, 400.0), 100.0, seed, max_attempts=400)
 
 
+def batch_ends(node_count, max_attempts):
+    """Attempts drawn by the end of each of generate_topology's batches."""
+    ends = [0]
+    while ends[-1] < max_attempts:
+        cap = max(MAX_CELLS // node_count**2, 1)
+        ends.append(ends[-1] + min(max(ends[-1], FIRST_BATCH), MAX_BATCH, cap, max_attempts - ends[-1]))
+    return ends[1:]
+
+
 def test_attempt_budget_is_exact():
     area, seed = (400.0, 400.0), 0
     j, positions, _ = reference_topology(10, area, 100.0, np.random.default_rng(seed), 1000)
-    assert j > 8 and j % 4  # inside a batch, not at its end
+    ends = batch_ends(10, 1000)
+    assert j > ends[1] and j not in ends  # inside a batch past the first two, not at its end
     with pytest.raises(GenerationFailureError):
         generate_topology(10, area, 100.0, np.random.default_rng(seed), max_attempts=j - 1)
     topo = generate_topology(10, area, 100.0, np.random.default_rng(seed), max_attempts=j)
