@@ -3,34 +3,34 @@
 Time advances in synchronized 1-second slots, each split into two half-slots
 (two rendezvous attempts per slot). Within a half-slot:
 
-1. every participating node asks its strategy for a channel;
-2. each tuned channel's occupancy is sensed once at the half-slot start and
-   nodes on busy channels sit the half-slot out entirely;
-3. the idle nodes on a channel are grouped into clusters by radio
-   connectivity restricted to that channel's tuned set;
-4. each cluster elects one initiator uniformly among members that are still
-   discovering or hold unconfirmed links; the initiator picks a responder
-   among its in-range cluster members, preferring peers it has never
-   handshaken over unconfirmed over confirmed ones;
-5. the configured handshake runs atomically and the packet / rendezvous
-   counters advance;
+1. every participating node tunes to its strategy's channel;
+2. each tuned channel's occupancy is sensed once, at the half-slot start;
+   nodes on a busy channel sit the half-slot out;
+3. the idle nodes on a channel form clusters by radio connectivity among
+   themselves;
+4. each cluster elects an initiator uniformly among members still
+   discovering or holding unconfirmed links, and the initiator a responder in
+   range, preferring never-handshaken over unconfirmed over confirmed peers;
+5. the handshake runs atomically and the packet / rendezvous counters advance;
 6. a lone incomplete node broadcasts an unanswered D-REQ (one packet);
 7. nodes whose tables now cover all N-1 peers record their time to
    rendezvous, in half-slots, and drop to responder-only behavior.
 
 The loop runs in blocks of half-slots. Block b covers the same slots in every
 run: blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS, and a
-run reads its last block only up to its budget. At the start of a block the
-run takes from its Environment every node's channels and every channel's
-busy bits at the block's half-slot instants, each drawn for the whole
-population in one pass, and scans each node's neighbours for one on the same
-idle channel. The procedure above runs only for the nodes that have one
-(every node when tracing), and skips those that are silent; any other idle
-node is a cluster of one, whose lone D-REQ, if it is incomplete, is counted
-from the block arrays.
+run reads its last block only up to its budget. A block starts by taking
+every node's channels and every channel's busy bits from the Environment, each
+drawn for the whole population in one pass, and finding each node with a
+neighbour on its idle channel. Only those (every node when tracing) are
+visited: numpy groups them by (half-slot, channel), each group an id mask, and
+one walk over the groups, in that order, settles each cluster in place, skips
+silent members and stops after the half-slot in which the last node completes.
+Any other idle node is a cluster of one, whose lone D-REQ, if it is
+incomplete, is counted from the block arrays.
 
-Neighbor tables, tuned sets and clusters are bitmasks of node ids (bit i is
-node i), decoded to ascending id lists only for an election or a trace row.
+Neighbor tables, tuned sets and clusters are id bitmasks (bit i is node i). An
+election takes the draw-th set bit, with no draw for one candidate; ids are
+listed only for an `election=` callable, a trace row or a silence check.
 
 A run is deterministic given (scenario, seed): all randomness flows through
 labeled substreams of the run seed, and environment streams (topology,
@@ -53,10 +53,8 @@ each stream as one drawn for each in turn would.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -316,67 +314,35 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
     if election is None:
         draw = uniform_index(seeded_rng(environment.seeds[n]))
 
-        def election(tag, options):
-            return options[draw(len(options))]
+        def choose(tag: str, mask: int) -> int:
+            """The draw-th id of `mask`, ascending; one id draws nothing, as draw(1) reads nothing."""
+            if mask & (mask - 1):
+                for _ in range(draw(mask.bit_count())):
+                    mask &= mask - 1
+            return (mask & -mask).bit_length() - 1
+    else:
+        def choose(tag: str, mask: int) -> int:
+            return election(tag, _ids(mask))
 
     neighbor_masks, peers = topology.neighbor_masks, topology.peers
     tables = [NeighborTables(i) for i in range(n)]
     done = {0: 0} if n == 1 else {}  # complete node id -> its TTR in half-slots
+    complete = 0  # done's ids as a mask, kept only by the half-slot walk (n == 1 never walks)
     rows: list | None = [] if trace else None
     packets = 0
     # Counted apart from the tables so that the packet-floor check below
     # catches a handshake that links nothing.
-    met_pairs: set[tuple[int, int]] = set()
+    met_pairs: set[int] = set()  # id masks of the pairs that have handshaken
     quiet = 0  # nodes that may not initiate: complete, all direct links confirmed, mode not "active"
+    silencing = scenario.completion_mode == "silent" or scenario.protocol == "memca" and scenario.emca_window < math.inf
 
-    def is_silent(i: int, slot: int) -> bool:
-        if i not in done:
-            return False
-        if scenario.completion_mode == "silent":
-            return True
+    def is_silent(i: int, slot: int) -> bool:  # asked only when silencing, of a complete node
         # (ttr + 1) // 2 is the slot the node completed in
-        return scenario.protocol == "memca" and slot > (done[i] + 1) // 2 + scenario.emca_window
+        return scenario.completion_mode == "silent" or slot > (done[i] + 1) // 2 + scenario.emca_window
 
-    def cluster_round(cluster: int, channel: int, slot: int, half: int) -> None:
-        """One cluster's half-slot. Its two handshaken nodes are settled at once:
-        each is on one channel per half-slot, so no other cluster reads them."""
-        nonlocal packets, quiet
-        eligible = cluster & ~quiet
-        if not eligible:
-            return
-        if not cluster & (cluster - 1):  # a cluster of one
-            if (i := cluster.bit_length() - 1) not in done:
-                packets += 1
-                if rows is not None:
-                    rows.append((slot, half, channel, D_REQ, i, None, OFF))
-            return
-        init = election("initiator", _ids(eligible))
-        in_range = cluster & neighbor_masks[init]
-        # Responder preference: peers never heard of, then direct links still
-        # awaiting confirmation, then peers known only indirectly, then
-        # confirmed links. The unconfirmed tier is what sends a two-way
-        # handshake's responder back toward that neighbor at later meetings.
-        dnl, inl, confirmed = tables[init].dnl, tables[init].inl, tables[init].confirmed
-        tier = (
-            in_range & ~(dnl | inl)
-            or in_range & dnl & ~confirmed
-            or in_range & inl
-            or in_range & confirmed
-        )
-        responder = election("responder", _ids(tier))
-        messages = run_handshake(scenario.handshake, tables[init], tables[responder],
-                                 scenario.share_unconfirmed_links)
-        packets += len(messages)
-        met_pairs.add((min(init, responder), max(init, responder)))
-        if rows is not None:
-            rows.extend((slot, half, channel, kind, s, r, OFF) for kind, s, r in messages)
-        for i in (init, responder):
-            dnl, inl, confirmed = tables[i].dnl, tables[i].inl, tables[i].confirmed
-            if i not in done and (dnl | inl).bit_count() == n - 1:
-                done[i] = 2 * slot - 2 + half
-            settled = i in done and not dnl & ~confirmed and scenario.completion_mode != "active"
-            quiet = quiet & ~(1 << i) | settled << i
-
+    channels = len(environment.processes) + 1  # group keys are k * channels + channel
+    bits = (np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)) if n <= 64
+            else np.array([1 << i for i in range(n)], dtype=object))  # id masks past one word: Python ints
     b, slot0 = 0, 1  # block index and the block's first slot
     while len(done) < n and slot0 <= scenario.max_slots:
         hops, busy = environment.block(scenario.protocol, b)
@@ -392,26 +358,71 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
             met |= padded[column] == hops
         heard = idle & met | trace
         lone = idle & ~heard  # where a node sends a lone D-REQ, if incomplete
-        # (half-slot, node) pairs the visits read, in half-slot then id order
+        # the visited (half-slot k, node) pairs grouped by (k, channel), in that order, one id mask a group
         at, who = np.nonzero(heard.T)
-        tunings = zip(at.tolist(), who.tolist(), hops[who, at].tolist())
-        for k, group in itertools.groupby(tunings, key=itemgetter(0)):
-            slot = slot0 + k // 2
-            half = 1 + k % 2
-            tuned: dict[int, int] = {}  # channel -> mask of the ids tuned to it
-            for _, i, channel in group:
-                if i not in done or not is_silent(i, slot):
-                    tuned[channel] = tuned.get(channel, 0) | 1 << i
-            for channel in sorted(tuned):
-                if rows is not None:
-                    state = ON if busy[channel, k] else OFF
-                    rows.extend((slot, half, channel, "TUNE", i, None, state) for i in _ids(tuned[channel]))
-                if busy[channel, k]:
+        keys = at * channels + hops[who, at]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        group_k, group_channel = np.divmod(keys[starts], channels)
+        masks = np.bitwise_or.reduceat(bits[who[order]], starts)
+        groups = zip(group_k.tolist(), group_channel.tolist(), masks.tolist())
+        k = -1
+        for at_k, channel, tuned in groups:
+            if at_k != k:
+                if len(done) == n:
+                    break
+                k, slot, half = at_k, slot0 + at_k // 2, 1 + at_k % 2
+            if silencing and tuned & complete:
+                for i in _ids(tuned & complete):
+                    if is_silent(i, slot):
+                        tuned ^= 1 << i
+                if not tuned:
+                    continue
+            if rows is not None:
+                state = ON if busy[channel, k] else OFF
+                rows.extend((slot, half, channel, "TUNE", i, None, state) for i in _ids(tuned))
+                if state == ON:
                     continue  # sensing gate: nobody transmits this half-slot
-                for cluster in _clusters(tuned[channel], neighbor_masks):
-                    cluster_round(cluster, channel, slot, half)
-            if len(done) == n:
-                break
+            # A pair of adjacent nodes is one cluster: the higher id's neighbours hold the lower.
+            pair = tuned.bit_count() == 2 and neighbor_masks[tuned.bit_length() - 1] & tuned
+            for cluster in (tuned,) if pair else _clusters(tuned, neighbor_masks):
+                if not (eligible := cluster & ~quiet):
+                    continue
+                if not cluster & (cluster - 1):  # a cluster of one
+                    if (i := cluster.bit_length() - 1) not in done:
+                        packets += 1
+                        if rows is not None:
+                            rows.append((slot, half, channel, D_REQ, i, None, OFF))
+                    continue
+                init = choose("initiator", eligible)
+                in_range = cluster & neighbor_masks[init]
+                # Responder preference: peers never heard of, then direct links still
+                # awaiting confirmation, then peers known only indirectly, then confirmed
+                # links. The unconfirmed tier is what sends a two-way handshake's
+                # responder back toward that neighbor at later meetings.
+                dnl, inl, confirmed = tables[init].dnl, tables[init].inl, tables[init].confirmed
+                tier = (
+                    in_range & ~(dnl | inl)
+                    or in_range & dnl & ~confirmed
+                    or in_range & inl
+                    or in_range & confirmed
+                )
+                responder = choose("responder", tier)
+                messages = run_handshake(scenario.handshake, tables[init], tables[responder],
+                                         scenario.share_unconfirmed_links)
+                packets += len(messages)
+                met_pairs.add(1 << init | 1 << responder)
+                if rows is not None:
+                    rows.extend((slot, half, channel, kind, s, r, OFF) for kind, s, r in messages)
+                # Settled at once: each is on one channel per half-slot, so no other cluster reads them.
+                for i in (init, responder):
+                    dnl, inl, confirmed = tables[i].dnl, tables[i].inl, tables[i].confirmed
+                    if i not in done and (dnl | inl).bit_count() == n - 1:
+                        done[i] = 2 * slot - 2 + half
+                        complete |= 1 << i
+                    settled = i in done and not dnl & ~confirmed and scenario.completion_mode != "active"
+                    quiet = quiet & ~(1 << i) | settled << i
         # half-slots of the block each node spent incomplete; a node that
         # completed at half-slot k of the block has TTR first + k (k < 0 for
         # an earlier block, which sends none of the block's lone D-REQs)

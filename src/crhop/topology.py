@@ -39,13 +39,18 @@ class Topology:
 
     def __init__(self, positions: list[tuple[float, float]], radio_range: float):
         points = np.array(positions, dtype=float).reshape(len(positions), 2)
+        self._index(points, unit_disk_adjacency(points, float(radio_range)))
+
+    def _index(self, points: np.ndarray, adjacency: np.ndarray) -> Topology:
+        """Fill in the topology of `points` from their unit-disk `adjacency`."""
         self.positions = tuple(map(tuple, points.tolist()))
-        self.adjacency = unit_disk_adjacency(points, float(radio_range))
+        self.adjacency = adjacency
         rows = np.packbits(self.adjacency, axis=1, bitorder="little")
         self.neighbor_masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
         ranked = np.sort(np.where(self.adjacency, np.arange(len(points)), len(points)), axis=1)
         self.peers = ranked[:, :self.adjacency.sum(axis=1).max(initial=0)].T.copy()
         self.peers.setflags(write=False)  # every run on the topology reads it
+        return self
 
     @property
     def node_count(self) -> int:
@@ -86,7 +91,7 @@ def generate_topology(
         candidates = np.flatnonzero(adjacency.any(-1).all(-1) | (node_count == 1))
         hits = candidates[connected(adjacency[candidates])]
         if hits.size:
-            return Topology(points[hits[0]], radio_range)
+            return Topology.__new__(Topology)._index(points[hits[0]], adjacency[hits[0]])  # not computed again
         drawn += size
     raise GenerationFailureError(
         f"no connected placement of {node_count} nodes in {width}x{height} "

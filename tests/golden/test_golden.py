@@ -109,6 +109,11 @@ CASES = [
           area=WIDE_AREA, max_slots=2_000, protocol="mmca", handshake="2wh"),
     _case("wide/N200/mdmca/3wh", 5, nodes=200, channels=20, mode="asym", m=2,
           area=WIDE_AREA, max_slots=600),
+    # Either side of the 64-bit mask width: the last node count whose half-slot
+    # groups OR their id bits in uint64, and the first that needs Python ints.
+    _case("wide/N64", 7, nodes=64, channels=20, mode="asym", m=2, area=WIDE_AREA, max_slots=1_500),
+    _case("wide/N65", 7, nodes=65, channels=20, mode="asym", m=2, area=WIDE_AREA, max_slots=1_500,
+          protocol="memca", handshake="2wh", emca_window=20.0),
     # Half of the nodes hold {1, 2} (array rows) and half {1, 4}, whose empty
     # prime list sends them through select, in every block.
     _case("mixed-rows/mdmca/3wh", 28, nodes=8, channels=4, mode="asym", m=1, per_node_size=2),

@@ -9,19 +9,20 @@ from hypothesis import strategies as st
 
 from crhop import engine
 from crhop.activity import ACTIVITY_CLASSES
-from crhop.engine import COMPLETION_MODES, Scenario, run
+from crhop.engine import COMPLETION_MODES, Scenario, build_environment, run
 from crhop.handshake import D_REQ, HANDSHAKE_KINDS, HANDSHAKE_SIZES
 from crhop.protocols import STRATEGY_KINDS
+from crhop.seeding import seeded_rng, uniform_index
 from reference import ids
 
 
 @st.composite
-def runs(draw):
+def runs(draw, max_nodes=6):
     channels = draw(st.integers(1, 6))
     mode = draw(st.sampled_from(["sym", "asym"]))
     k = draw(st.integers(1, channels)) if mode == "asym" else None
     scenario = Scenario(
-        nodes=draw(st.integers(1, 6)),
+        nodes=draw(st.integers(1, max_nodes)),
         channels=channels,
         mode=mode,
         m=draw(st.integers(1, k)) if k else None,
@@ -93,3 +94,20 @@ def test_neighbor_tables_keep_their_invariants(case):
     # patched in the body: hypothesis rejects function-scoped fixtures under @given
     with mock.patch.object(engine, "run_handshake", checked):
         run(scenario, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(runs(max_nodes=70), st.booleans())
+def test_default_election_equals_a_uniform_pick_from_the_id_list(case, trace):
+    # The default election picks the draw-th set bit of a mask and skips the
+    # draw for one member; an election= callable gets every id list, one
+    # member included, and draw(1) reads nothing. Up to 70 nodes reaches
+    # clusters of three or more and masks past one machine word.
+    scenario, seed = case
+    draw = uniform_index(seeded_rng(build_environment(scenario, seed).seeds[scenario.nodes]))
+
+    def election(tag, options):
+        assert options == sorted(options)
+        return options[draw(len(options))]
+
+    assert run(scenario, seed, election=election, trace=trace) == run(scenario, seed, trace=trace)

@@ -207,6 +207,27 @@ class TestMmca:
         assert abs(meet_2p / trials - 0.84) <= 0.04
         assert meet_6p / trials >= 0.985
 
+    @settings(max_examples=150, deadline=None)
+    @given(channels=st.sets(st.integers(1, 64), min_size=1, max_size=29),
+           seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    def test_distinct_rates_meet_within_p_half_slots_of_their_epoch(self, channels, seeds):
+        # The modular-clock guarantee (Theis, Thomas and DaSilva, IEEE TMC
+        # 2011): on one channel set the clocks' gap moves by the rates'
+        # difference each half-slot, which walks every residue mod the prime
+        # p in p steps when the rates differ. Epochs with equal rates are exempt.
+        nodes = [MmcaStrategy(channels, np.random.default_rng(seed)) for seed in seeds]
+        p, epochs = nodes[0].p, 3
+        rows = MmcaStrategy.block(nodes, channel_table(nodes), epochs * p)  # 2p half-slots an epoch
+        rates = []  # each node's stream: its first clock, then one rate per epoch
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            rng.integers(p)
+            rates.append(rng.integers(p, size=epochs).tolist())
+        for e in range(epochs):
+            if rates[0][e] != rates[1][e]:
+                window = slice(2 * p * e, 2 * p * e + p)
+                assert (rows[0, window] == rows[1, window]).any(), (e, rates)
+
 
 class TestMemca:
     def test_selection_core_matches_mmca(self):

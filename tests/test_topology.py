@@ -194,6 +194,16 @@ def test_neighbour_forms_past_two_machine_words_match_adjacency(seed):
     assert_neighbour_forms_match_adjacency(topo)
 
 
+@pytest.mark.parametrize("n", [1, 12, 150])
+def test_generated_topology_equals_one_built_from_its_positions(n):
+    # generate_topology indexes the accepted attempt's adjacency from its batch
+    topo = generate_topology(n, (400.0, 400.0), 100.0, np.random.default_rng(3))
+    again = Topology(list(topo.positions), 100.0)
+    assert np.array_equal(topo.adjacency, again.adjacency)
+    assert topo.neighbor_masks == again.neighbor_masks
+    assert np.array_equal(topo.peers, again.peers)
+
+
 def test_emitted_topologies_always_connected():
     # 100 seeds against the BFS oracle at a feasible density.
     for seed in range(100):
