@@ -4,7 +4,7 @@
     python3 scripts/ab_inproc.py PARENT CHANGE --workload W [--seed 1] [--seconds 40]
 
 PARENT and CHANGE are the roots of two checkouts. Their timings from separate
-processes drift with the host from one session to the next, which can hide a
+processes drift with the host from one hour to the next, which can hide a
 change of a few percent. Here one process holds both trees: each
 checkout's src/crhop is imported under a package name of its own
 (crhop_parent, crhop_change), and before each block of operations the name

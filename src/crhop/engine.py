@@ -296,11 +296,11 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
 
     `election`, when given, replaces the uniform election stream: it is
     called as election(tag, options) with tag "initiator" or "responder" and
-    a nonempty id list, and must return one of the options. `trace` attaches
-    the per-half-slot transcript to the returned record as rows of
-    (slot, half, channel, kind, sender, receiver, pr_state). `environment`,
-    when given, must come from build_environment for this scenario's
-    environment key and this seed; without it the run builds its own.
+    a nonempty ascending id list, and must return one of the options.
+    `trace` attaches the per-half-slot transcript to the returned record as
+    rows of (slot, half, channel, kind, sender, receiver, pr_state).
+    `environment`, when given, must come from build_environment for this
+    scenario's environment key and this seed; without it the run builds its own.
     """
     if environment is None:
         environment = build_environment(scenario, seed)
