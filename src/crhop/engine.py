@@ -18,15 +18,15 @@ Time advances in synchronized 1-second slots, each split into two half-slots
 
 The loop runs in blocks of half-slots. Block b covers the same slots in every
 run: blocks start at FIRST_BLOCK_SLOTS and double up to MAX_BLOCK_SLOTS, and a
-run reads its last block only up to its budget. A block starts by taking
-every node's channels and every channel's busy bits from the Environment, each
-drawn for the whole population in one pass, and finding each node with a
-neighbour on its idle channel. Only those (every node when tracing) are
-visited: numpy groups them by (half-slot, channel), each group an id mask, and
-one walk over the groups, in that order, settles each cluster in place, skips
-silent members and stops after the half-slot in which the last node completes.
-Any other idle node is a cluster of one, whose lone D-REQ, if it is
-incomplete, is counted from the block arrays.
+run reads its last block only up to its budget. A block's schedule says who
+can meet in it: every node's channels and every channel's busy bits, each
+drawn for the whole population in one pass, give the idle nodes with a
+neighbour on their channel. Only those (every node when tracing) are visited:
+numpy groups them by (half-slot, channel), each group an id mask, and one walk
+over the groups, in that order, settles each cluster in place, skips silent
+members and stops at the run's budget or after the half-slot in which the
+last node completes. Any other idle node is a cluster of one, whose lone
+D-REQ, if it is incomplete, is counted from the schedule's lone matrix.
 
 Neighbor tables, tuned sets and clusters are id bitmasks (bit i is node i). An
 election takes the draw-th set bit, with no draw for one candidate; ids are
@@ -41,13 +41,16 @@ ascending channel order, then cluster order, exactly as when every half-slot
 is stepped in turn.
 
 A sweep builds one Environment per (environment key, seed) and runs every
-protocol x handshake cell of that key on it; each block is drawn once, by the
-first run that asks. Neither sharing nor drawing past a run's budget or a
-node's silence can change a record: each node's strategy stream and each
-channel's occupancy stream is private to it, so a block is a pure function of
-those streams and its slots, and silence is permanent, so a silent node never
-needs its rows; and a block drawn for every node or channel at once reads
-each stream as one drawn for each in turn would.
+protocol x handshake cell of that key on it; each block is drawn, and each
+block's schedule derived per clock class and trace flag, once, by the first
+run that asks. Neither sharing nor drawing past a run's budget or a node's
+silence can change a record: each node's strategy stream and each channel's
+occupancy stream is private to it, so a block is a pure function of those
+streams and its slots; silence is permanent, so a silent node never needs its
+rows; a block drawn for every node or channel at once reads each stream as
+one drawn for each in turn would; and a schedule is a pure function of its
+block, the topology and the trace flag, which runs read and never write, each
+cutting it at its own budget and skipping its own silent members.
 """
 
 from __future__ import annotations
@@ -195,9 +198,10 @@ class RunRecord:
 class Environment:
     """What every run on one (environment key, seed) shares: the topology,
     channel sets and occupancy processes (one per channel, in channel order),
-    and the blocks drawn from them, indexed by block (every node's channels
-    for one strategy class at a time, as mmca and memca share one, and each
-    channel's busy bits)."""
+    the blocks drawn from them, indexed by block (every node's channels for
+    one strategy class at a time, as mmca and memca share one, and each
+    channel's busy bits), and each block's schedule, untraced and traced, for
+    the strategy class of the hop blocks kept, dropped with them."""
 
     def __init__(self, key: str, seed, topology: Topology, smap: SpectrumMap,
                  processes: list[ChannelProcess], seeds: np.ndarray):
@@ -205,8 +209,9 @@ class Environment:
         self.seeds = seeds  # each node's strategy stream, then the election's; restarted per clock class, per run
         self.topology, self.smap, self.processes = topology, smap, processes
         self._busy: list[np.ndarray] = []
-        self._clock = None  # strategy class of _hops
+        self._clock = None  # strategy class of _hops and _schedules
         self._hops: list[np.ndarray] = []
+        self._schedules: dict[tuple[int, bool], tuple] = {}  # (block, trace) -> its schedule
         self._strategies: list = []
         self._table = None  # _clock's channel table of _strategies
 
@@ -222,7 +227,7 @@ class Environment:
         to one node or one channel, so the extra draws change no record.
         """
         if STRATEGIES[protocol] is not self._clock:
-            self._clock, self._hops = STRATEGIES[protocol], []
+            self._clock, self._hops, self._schedules = STRATEGIES[protocol], [], {}
             self._strategies = [
                 make_strategy(protocol, cu, seeded_rng(row))
                 for cu, row in zip(self.smap.available, self.seeds)
@@ -241,6 +246,49 @@ class Environment:
             busy.setflags(write=False)
             self._busy.append(busy)
         return self._hops[b], self._busy[b]
+
+    def schedule(self, protocol: str, b: int, trace: bool) -> tuple[np.ndarray, ...]:
+        """(busy, lone, at, channel, tuned): who can meet in block b under
+        `protocol`'s clock, derived by the first run that asks and read, never
+        written, by every later one. `busy` is the block's busy bits; `lone`
+        marks (node, half-slot) where a node is idle with no neighbour on its
+        channel, a cluster of one; the other three list the visited tunings
+        (the idle nodes with a neighbour on their channel, or every tuning
+        when traced) grouped by (half-slot, channel), in that order: each
+        group's half-slot within the block, its channel and its id mask."""
+        hops, busy = self.block(protocol, b)
+        if (b, trace) not in self._schedules:
+            self._schedules[b, trace] = _schedule(hops, busy, self.topology.peers, trace)
+        return self._schedules[b, trace]
+
+
+def _schedule(hops: np.ndarray, busy: np.ndarray, peers, trace: bool) -> tuple[np.ndarray, ...]:
+    """Environment.schedule of one block's hops (row n is no node) and busy
+    bits, as read-only arrays: half-slots and channels in their smallest
+    dtypes, id masks in uint64 up to 64 nodes and as Python ints above."""
+    n, width = hops.shape[0] - 1, hops.shape[1]
+    padded, hops = hops, hops[:-1]
+    idle = ~busy[hops, np.arange(width)]
+    # Only a node with a neighbour on its idle channel can be in a cluster
+    # of two or more; nodes on one channel share its busy bit.
+    met = np.zeros_like(idle)
+    for column in peers:
+        met |= padded[column] == hops
+    heard = idle & met | trace
+    at, who = np.nonzero(heard.T)
+    channels = busy.shape[0]  # group keys are k * channels + channel
+    keys = at * channels + hops[who, at]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    group_at, group_channel = np.divmod(keys[starts], channels)
+    bits = (np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)) if n <= 64
+            else np.array([1 << i for i in range(n)], dtype=object))  # id masks past one word: Python ints
+    schedule = (busy, idle & ~heard, group_at.astype(np.min_scalar_type(width - 1)),
+                group_channel.astype(hops.dtype), np.bitwise_or.reduceat(bits[who[order]], starts))
+    for array in schedule:
+        array.setflags(write=False)
+    return schedule
 
 
 def build_environment(scenario: Scenario, seed) -> Environment:
@@ -308,7 +356,6 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         scenario.validate()
         if environment.key != scenario.environment_key() or environment.seed != seed:
             raise InvalidParameterError("the environment was built for another environment key or seed")
-    topology = environment.topology
     n = scenario.nodes
 
     if election is None:
@@ -324,7 +371,7 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         def choose(tag: str, mask: int) -> int:
             return election(tag, _ids(mask))
 
-    neighbor_masks, peers = topology.neighbor_masks, topology.peers
+    neighbor_masks = environment.topology.neighbor_masks
     tables = [NeighborTables(i) for i in range(n)]
     done = {0: 0} if n == 1 else {}  # complete node id -> its TTR in half-slots
     complete = 0  # done's ids as a mask, kept only by the half-slot walk (n == 1 never walks)
@@ -340,37 +387,15 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         # (ttr + 1) // 2 is the slot the node completed in
         return scenario.completion_mode == "silent" or slot > (done[i] + 1) // 2 + scenario.emca_window
 
-    channels = len(environment.processes) + 1  # group keys are k * channels + channel
-    bits = (np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)) if n <= 64
-            else np.array([1 << i for i in range(n)], dtype=object))  # id masks past one word: Python ints
     b, slot0 = 0, 1  # block index and the block's first slot
     while len(done) < n and slot0 <= scenario.max_slots:
-        hops, busy = environment.block(scenario.protocol, b)
+        busy, lone, group_at, group_channel, group_tuned = environment.schedule(scenario.protocol, b, trace)
         width = min(busy.shape[1], 2 * (scenario.max_slots - slot0 + 1))  # half-slots within the budget
-        span = np.arange(width)
-        padded = hops[:, :width]  # row n is no node: channel 0 is nobody's
-        hops = padded[:n]
-        idle = ~busy[hops, span]
-        # Only a node with a neighbour on its idle channel can be in a cluster
-        # of two or more; nodes on one channel share its busy bit.
-        met = np.zeros_like(idle)
-        for column in peers:
-            met |= padded[column] == hops
-        heard = idle & met | trace
-        lone = idle & ~heard  # where a node sends a lone D-REQ, if incomplete
-        # the visited (half-slot k, node) pairs grouped by (k, channel), in that order, one id mask a group
-        at, who = np.nonzero(heard.T)
-        keys = at * channels + hops[who, at]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        group_k, group_channel = np.divmod(keys[starts], channels)
-        masks = np.bitwise_or.reduceat(bits[who[order]], starts)
-        groups = zip(group_k.tolist(), group_channel.tolist(), masks.tolist())
+        groups = zip(group_at.tolist(), group_channel.tolist(), group_tuned.tolist())
         k = -1
         for at_k, channel, tuned in groups:
             if at_k != k:
-                if len(done) == n:
+                if at_k >= width or len(done) == n:
                     break
                 k, slot, half = at_k, slot0 + at_k // 2, 1 + at_k % 2
             if silencing and tuned & complete:
@@ -428,7 +453,7 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         # an earlier block, which sends none of the block's lone D-REQs)
         first = 2 * slot0 - 1
         ends = np.array([done.get(i, first + width) - first for i in range(n)])
-        packets += int(np.count_nonzero(lone & (span < ends[:, None])))
+        packets += int(np.count_nonzero(lone[:, :width] & (np.arange(width) < ends[:, None])))
         b, slot0 = b + 1, slot0 + busy.shape[1] // 2
 
     rendezvous = len(met_pairs)

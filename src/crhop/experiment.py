@@ -226,7 +226,7 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
 
     Infeasible cells (e.g. topology generation failure) are reported in the
     summary and skipped; the sweep continues. Worker count comes from the
-    CRHOP_WORKERS environment variable (default 1).
+    CRHOP_WORKERS environment variable: an integer >= 1, default 1.
     """
     scenarios = cells(config)
     groups: dict[str, list[int]] = {}  # environment key -> indices of its cells, ascending
@@ -237,7 +237,9 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
     try:
         workers = int(text)
     except ValueError:
-        raise InvalidParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {text!r}") from None
+        workers = 0
+    if workers < 1:
+        raise InvalidParameterError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {text!r}")
     with writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
     if workers > 1:

@@ -249,6 +249,18 @@ def test_malformed_worker_count_exits_2(monkeypatch, capsys, tmp_path):
     assert "CRHOP_WORKERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_worker_count_below_one_exits_2(workers, monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("CRHOP_WORKERS", workers)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("protocols = mdmca\nhandshakes = 3wh\nnodes = 3\nruns = 1\nmax_slots = 50\n")
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "CRHOP_WORKERS" in err
+    assert not (tmp_path / "sw").exists()
+
+
 @pytest.mark.parametrize("line", [
     "runs = abc", "nodes = 3, x", "modes = sym, x", "radio_range = far",
 ])

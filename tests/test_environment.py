@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import pytest
 
+from crhop import engine
 from crhop.engine import FIRST_BLOCK_SLOTS, Environment, Scenario, build_environment, run
 from crhop.errors import InvalidParameterError
+from crhop.experiment import run_group
 from crhop.handshake import HANDSHAKE_KINDS
-from crhop.protocols import STRATEGY_KINDS
+from crhop.protocols import STRATEGIES, STRATEGY_KINDS
 
 SEEDS = (3, 7)
 BASE = dict(
@@ -58,6 +60,47 @@ def test_traced_run_on_a_shared_environment_equals_standalone():
     shared = run(sc, SEEDS[1], trace=True, environment=environment)
     assert shared == run(sc, SEEDS[1], trace=True)
     assert shared.trace
+
+
+def test_a_group_derives_each_schedule_once(monkeypatch):
+    derived = []
+    derive, schedule = engine._schedule, Environment.schedule
+    monkeypatch.setattr(engine, "_schedule", lambda *args: derived.append(args) or derive(*args))
+    derivations = {}  # (environment, clock class, block, trace) reached -> schedules derived for it
+
+    def counted(self, protocol, b, trace):
+        before = len(derived)
+        out = schedule(self, protocol, b, trace)
+        key = (self, STRATEGIES[protocol], b, trace)
+        derivations[key] = derivations.get(key, 0) + len(derived) - before
+        return out
+
+    monkeypatch.setattr(Environment, "schedule", counted)
+    cells = [Scenario(protocol=p, handshake=h, **BASE) for p in STRATEGY_KINDS for h in HANDSHAKE_KINDS]
+    run_group(cells, 2, 3)
+    assert set(derivations.values()) == {1}
+    assert len(derived) == len(derivations)
+    # two environments, three clock classes, and runs that go on past block 0
+    assert len({(env, clock) for env, clock, _, _ in derivations}) == 6
+    assert any(b > 0 for _, _, b, _ in derivations)
+
+
+def test_untraced_and_traced_runs_interleaved_on_one_environment_equal_standalone():
+    short = {**BASE, "max_slots": FIRST_BLOCK_SLOTS + 9}  # ends inside block 1
+    runs = [  # (scenario, trace), all of one clock class
+        (Scenario(protocol="mmca", handshake="2wh", **short), False),
+        (Scenario(protocol="memca", handshake="3wh", **BASE), False),
+        (Scenario(protocol="mmca", handshake="3wh", **short), True),
+        (Scenario(protocol="memca", handshake="2wh", **BASE), True),
+        (Scenario(protocol="memca", handshake="2wh", completion_mode="silent", **BASE), False),
+    ]
+    seed = SEEDS[1]
+    environment = build_environment(runs[0][0], seed)
+    records = [run(sc, seed, trace=trace, environment=environment) for sc, trace in runs]
+    assert records == [run(sc, seed, trace=trace) for sc, trace in runs]
+    # the short budgets stop runs still going, and the full ones read on past them
+    assert all(any(r.censored) for r in records[0::2])
+    assert all(max(r.ttr_half_slots) > 2 * short["max_slots"] for r in records[1:4:2])
 
 
 def test_environment_of_another_seed_or_key_is_refused():
