@@ -139,7 +139,6 @@ class ChannelProcess:
     """
 
     def __init__(self, rates: ActivityRates, rng: np.random.Generator):
-        self.rates = rates
         self._rng = rng
         # Holding-time scales (OFF, ON); a zero rate holds its state forever.
         self._scales = tuple(1.0 / r if r else math.inf for r in (rates.lambda_y, rates.lambda_x))

@@ -41,16 +41,18 @@ ascending channel order, then cluster order, exactly as when every half-slot
 is stepped in turn.
 
 A sweep builds one Environment per (environment key, seed) and runs every
-protocol x handshake cell of that key on it; each block is drawn, and each
-block's schedule derived per clock class and trace flag, once, by the first
-run that asks. Neither sharing nor drawing past a run's budget or a node's
-silence can change a record: each node's strategy stream and each channel's
-occupancy stream is private to it, so a block is a pure function of those
-streams and its slots; silence is permanent, so a silent node never needs its
-rows; a block drawn for every node or channel at once reads each stream as
-one drawn for each in turn would; and a schedule is a pure function of its
-block, the topology and the trace flag, which runs read and never write, each
-cutting it at its own budget and skipping its own silent members.
+protocol x handshake cell of that key on it. Runs read it only through
+Environment.schedule: each block's busy bits are drawn once, and its hops
+and its schedule per trace flag once per clock class, by the first run that
+asks; the environment holds one clock class's hops and schedules at a time.
+Neither sharing nor drawing past a run's budget or a node's silence can
+change a record: each node's strategy stream and each channel's occupancy
+stream is private to it, so a block is a pure function of those streams and
+its slots; silence is permanent, so a silent node never needs its rows; a
+block drawn for every node or channel at once reads each stream as one drawn
+for each in turn would; and a schedule is a pure function of its block, the
+topology and the trace flag, which runs read and never write, each cutting it
+at its own budget and skipping its own silent members.
 """
 
 from __future__ import annotations
@@ -198,10 +200,10 @@ class RunRecord:
 class Environment:
     """What every run on one (environment key, seed) shares: the topology,
     channel sets and occupancy processes (one per channel, in channel order),
-    the blocks drawn from them, indexed by block (every node's channels for
-    one strategy class at a time, as mmca and memca share one, and each
-    channel's busy bits), and each block's schedule, untraced and traced, for
-    the strategy class of the hop blocks kept, dropped with them."""
+    each block's busy bits, shared by every clock class, and one clock record:
+    the strategy class whose clocks run now (mmca and memca share one), its
+    nodes and channel table, its hop blocks and each block's schedule,
+    untraced and traced, replaced whole when a run of another class asks."""
 
     def __init__(self, key: str, seed, topology: Topology, smap: SpectrumMap,
                  processes: list[ChannelProcess], seeds: np.ndarray):
@@ -209,57 +211,42 @@ class Environment:
         self.seeds = seeds  # each node's strategy stream, then the election's; restarted per clock class, per run
         self.topology, self.smap, self.processes = topology, smap, processes
         self._busy: list[np.ndarray] = []
-        self._clock = None  # strategy class of _hops and _schedules
-        self._hops: list[np.ndarray] = []
-        self._schedules: dict[tuple[int, bool], tuple] = {}  # (block, trace) -> its schedule
-        self._strategies: list = []
-        self._table = None  # _clock's channel table of _strategies
+        self._clock = None, [], None, [], {}  # (class, nodes, channel table, hop blocks, {(block, trace): schedule})
 
-    def block(self, protocol: str, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """(hops, busy) of block b: every node's channels under `protocol`'s
-        clock, in the pool's smallest dtype, with a row n of channel 0 for no
-        node, and every channel's busy bits (row 0 unused), at the block's
-        half-slots.
+    def schedule(self, protocol: str, b: int, trace: bool) -> tuple[np.ndarray, ...]:
+        """(busy, lone, at, channel, tuned): who can meet in block b under
+        `protocol`'s clock, derived by the first run that asks and read, never
+        written, by every later one. `busy` is every channel's busy bits (row 0
+        unused) at the block's half-slots; `lone` marks (node, half-slot) where
+        a node is idle with no neighbour on its channel, a cluster of one; the
+        other three list the visited tunings (the idle nodes with a neighbour
+        on their channel, or every tuning when traced) grouped by (half-slot,
+        channel), in that order: each group's half-slot within the block, its
+        channel and its id mask.
 
         Every run asks for blocks 0, 1, 2, ... in turn, stopping once it
         ends, so b never skips a block and the clocks only move forward.
         Blocks past a run's budget are safe to draw: every stream is private
         to one node or one channel, so the extra draws change no record.
         """
-        if STRATEGIES[protocol] is not self._clock:
-            self._clock, self._hops, self._schedules = STRATEGIES[protocol], [], {}
-            self._strategies = [
-                make_strategy(protocol, cu, seeded_rng(row))
-                for cu, row in zip(self.smap.available, self.seeds)
-            ]
-            self._table = channel_table(self._strategies)
-        slots = min(FIRST_BLOCK_SLOTS << b, MAX_BLOCK_SLOTS)
-        if b == len(self._hops):
-            hops = np.zeros((len(self._strategies) + 1, 2 * slots), np.min_scalar_type(len(self.processes)))
-            hops[:-1] = self._clock.block(self._strategies, self._table, slots)
-            hops.setflags(write=False)  # every run on the environment reads it
-            self._hops.append(hops)
-        if b == len(self._busy):
-            start = sum(block.shape[1] for block in self._busy)  # half-slots before block b
-            busy = np.zeros((len(self.processes) + 1, 2 * slots), dtype=bool)
-            busy[1:] = busy_bits(self.processes, start, 2 * slots)
-            busy.setflags(write=False)
-            self._busy.append(busy)
-        return self._hops[b], self._busy[b]
-
-    def schedule(self, protocol: str, b: int, trace: bool) -> tuple[np.ndarray, ...]:
-        """(busy, lone, at, channel, tuned): who can meet in block b under
-        `protocol`'s clock, derived by the first run that asks and read, never
-        written, by every later one. `busy` is the block's busy bits; `lone`
-        marks (node, half-slot) where a node is idle with no neighbour on its
-        channel, a cluster of one; the other three list the visited tunings
-        (the idle nodes with a neighbour on their channel, or every tuning
-        when traced) grouped by (half-slot, channel), in that order: each
-        group's half-slot within the block, its channel and its id mask."""
-        hops, busy = self.block(protocol, b)
-        if (b, trace) not in self._schedules:
-            self._schedules[b, trace] = _schedule(hops, busy, self.topology.peers, trace)
-        return self._schedules[b, trace]
+        clock, nodes, table, hops, schedules = self._clock
+        if STRATEGIES[protocol] is not clock:
+            nodes = [make_strategy(protocol, cu, seeded_rng(row)) for cu, row in zip(self.smap.available, self.seeds)]
+            clock, table, hops, schedules = STRATEGIES[protocol], channel_table(nodes), [], {}
+            self._clock = clock, nodes, table, hops, schedules
+        if (b, trace) not in schedules:
+            slots = min(FIRST_BLOCK_SLOTS << b, MAX_BLOCK_SLOTS)
+            if b == len(hops):  # every node's channels, with a row n of channel 0 for no node
+                block = np.zeros((len(nodes) + 1, 2 * slots), np.min_scalar_type(len(self.processes)))
+                block[:-1] = clock.block(nodes, table, slots)
+                hops.append(block)
+            if b == len(self._busy):
+                start = sum(busy.shape[1] for busy in self._busy)  # half-slots before block b
+                busy = np.zeros((len(self.processes) + 1, 2 * slots), dtype=bool)
+                busy[1:] = busy_bits(self.processes, start, 2 * slots)
+                self._busy.append(busy)
+            schedules[b, trace] = _schedule(hops[b], self._busy[b], self.topology.peers, trace)
+        return schedules[b, trace]
 
 
 def _schedule(hops: np.ndarray, busy: np.ndarray, peers, trace: bool) -> tuple[np.ndarray, ...]:

@@ -136,8 +136,8 @@ class MdmcaStrategy:
                 lambda i, k: clocked[i]._rng.integers(clocked[i].m, size=(k, 2)),
             )
             out[rows] = _lookup(table[rows], clocks)
-            for s, (r1, r2), (j1, j2), c1 in zip(clocked, last, clocks[:, -1].tolist(), out[rows, -2].tolist()):
-                s.r1, s.r2, s.j1, s.j2, s._c1, s.t = r1, r2, j1, j2, c1, (s.t + slots) % s.m
+            for s, (r1, r2), (j1, j2) in zip(clocked, last, clocks[:, -1].tolist()):
+                s.r1, s.r2, s.j1, s.j2, s.t = r1, r2, j1, j2, (s.t + slots) % s.m
         return out
 
 

@@ -56,9 +56,6 @@ class Topology:
     def node_count(self) -> int:
         return len(self.positions)
 
-    def is_connected(self) -> bool:
-        return bool(connected(self.adjacency))
-
 
 def generate_topology(
     node_count: int,
@@ -102,7 +99,7 @@ def generate_topology(
 def from_positions(positions: list[tuple[float, float]], radio_range: float) -> Topology:
     """Topology from explicit positions; rejects disconnected placements."""
     topo = Topology(positions, radio_range)
-    if not topo.is_connected():
+    if not connected(topo.adjacency):
         raise InvalidParameterError("imported positions do not form a connected graph")
     return topo
 

@@ -260,7 +260,7 @@ class TestEnvironmentPairing:
         assert env_a.topology.positions == env_b.topology.positions
         assert env_a.smap == env_b.smap
         for index in range(4):  # busy bits of the first 704 slots
-            assert np.array_equal(env_a.block("mdmca", index)[1], env_b.block("memca", index)[1])
+            assert np.array_equal(env_a.schedule("mdmca", index, False)[0], env_b.schedule("memca", index, False)[0])
 
     def test_environment_key_excludes_protocol_axes(self):
         base = dict(nodes=5, channels=10, mode="sym", activity="zero", max_slots=100)

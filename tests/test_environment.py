@@ -1,5 +1,6 @@
 """Runs on one shared Environment give the records of standalone runs."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -63,26 +64,38 @@ def test_traced_run_on_a_shared_environment_equals_standalone():
 
 
 def test_a_group_derives_each_schedule_once(monkeypatch):
-    derived = []
-    derive, schedule = engine._schedule, Environment.schedule
-    monkeypatch.setattr(engine, "_schedule", lambda *args: derived.append(args) or derive(*args))
-    derivations = {}  # (environment, clock class, block, trace) reached -> schedules derived for it
+    reached = []  # (environment, clock class, block, trace) of every schedule call, the last one under way
+    derived, busy, hops = Counter(), Counter(), Counter()
 
-    def counted(self, protocol, b, trace):
-        before = len(derived)
-        out = schedule(self, protocol, b, trace)
-        key = (self, STRATEGIES[protocol], b, trace)
-        derivations[key] = derivations.get(key, 0) + len(derived) - before
-        return out
+    def counting(draw, counts, key):
+        def counted(*args):
+            counts[key(*reached[-1])] += 1
+            return draw(*args)
+        return counted
 
-    monkeypatch.setattr(Environment, "schedule", counted)
+    monkeypatch.setattr(engine, "_schedule", counting(engine._schedule, derived, lambda *key: key))
+    monkeypatch.setattr(engine, "busy_bits", counting(engine.busy_bits, busy, lambda env, clock, b, trace: (env, b)))
+    for cls in set(STRATEGIES.values()):
+        hop_draws = counting(cls.block, hops, lambda env, clock, b, trace: (env, clock, b))
+        monkeypatch.setattr(cls, "block", staticmethod(hop_draws))
+    schedule = Environment.schedule
+
+    def reaching(self, protocol, b, trace):
+        reached.append((self, STRATEGIES[protocol], b, trace))
+        return schedule(self, protocol, b, trace)
+
+    monkeypatch.setattr(Environment, "schedule", reaching)
     cells = [Scenario(protocol=p, handshake=h, **BASE) for p in STRATEGY_KINDS for h in HANDSHAKE_KINDS]
     run_group(cells, 2, 3)
-    assert set(derivations.values()) == {1}
-    assert len(derived) == len(derivations)
+    # one schedule per (environment, clock class, block, trace), one busy-bits
+    # draw per (environment, block) and one hop block per (environment, clock
+    # class, block) reached, and no draw for anything not reached
+    assert derived == {key: 1 for key in reached}
+    assert busy == {(env, b): 1 for env, _, b, _ in reached}
+    assert hops == {(env, clock, b): 1 for env, clock, b, _ in reached}
     # two environments, three clock classes, and runs that go on past block 0
-    assert len({(env, clock) for env, clock, _, _ in derivations}) == 6
-    assert any(b > 0 for _, _, b, _ in derivations)
+    assert len({(env, clock) for env, clock, _, _ in reached}) == 6
+    assert any(b > 0 for _, _, b, _ in reached)
 
 
 def test_untraced_and_traced_runs_interleaved_on_one_environment_equal_standalone():
@@ -120,13 +133,13 @@ def test_environment_of_another_seed_or_key_is_refused():
 ])
 def test_a_run_fetches_only_the_blocks_it_simulates(max_slots, seed, blocks, monkeypatch):
     fetched = []
-    block = Environment.block
+    schedule = Environment.schedule
 
-    def counted(self, protocol, b):
+    def counted(self, protocol, b, trace):
         fetched.append(b)
-        return block(self, protocol, b)
+        return schedule(self, protocol, b, trace)
 
-    monkeypatch.setattr(Environment, "block", counted)
+    monkeypatch.setattr(Environment, "schedule", counted)
     record = run(Scenario(protocol="mmca", handshake="2wh", **{**BASE, "max_slots": max_slots}), seed)
     assert any(record.censored) == (blocks == 2)
     last = max(record.ttr_half_slots)  # the last half-slot the run simulated

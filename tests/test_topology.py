@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import reference
 from crhop.errors import GenerationFailureError, InvalidParameterError
 from crhop.topology import (
-    FIRST_BATCH, MAX_BATCH, MAX_CELLS, Topology, from_positions, generate_topology, load_positions,
+    FIRST_BATCH, MAX_BATCH, MAX_CELLS, Topology, connected, from_positions, generate_topology, load_positions,
 )
 
 
@@ -137,7 +137,7 @@ def test_single_node_trivially_connected():
     topo = generate_topology(1, (100.0, 100.0), 10.0, np.random.default_rng(0))
     assert topo.node_count == 1
     assert neighbor_sets(topo)[0] == frozenset()
-    assert topo.is_connected()
+    assert connected(topo.adjacency)
 
 
 def test_unit_disk_boundary():
@@ -147,7 +147,7 @@ def test_unit_disk_boundary():
     for far in [(100.0, 0.0), (60.0, 80.0)]:
         assert from_positions([(0.0, 0.0), far], 100.0).adjacency[0, 1]
     beyond = Topology([(0.0, 0.0), (float(np.nextafter(100.0, 200.0)), 0.0)], 100.0)
-    assert not beyond.adjacency[0, 1] and not beyond.is_connected()
+    assert not beyond.adjacency[0, 1] and not connected(beyond.adjacency)
     with pytest.raises(InvalidParameterError):
         from_positions([(0.0, 0.0), (101.0, 0.0)], 100.0)
 
@@ -263,4 +263,4 @@ def test_chain_is_multihop_not_clique():
     topo = from_positions([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0)], 100.0)
     assert topo.adjacency[0, 1] and topo.adjacency[1, 2]
     assert not topo.adjacency[0, 2]
-    assert topo.is_connected()
+    assert connected(topo.adjacency)
