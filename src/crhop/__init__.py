@@ -11,7 +11,7 @@ from .errors import (
     NoChannelError,
     UndefinedPprError,
 )
-from .experiment import SweepConfig, check_table1, emit_plotdata, run_group, run_sweep
+from .experiment import SweepConfig, check_table1, run_group, run_sweep
 from .handshake import NeighborTables, run_handshake
 from .metrics import attr, compare, ppr, summarize
 from .protocols import make_strategy
@@ -39,7 +39,6 @@ __all__ = [
     "build_environment",
     "check_table1",
     "compare",
-    "emit_plotdata",
     "generate_topology",
     "load_positions",
     "make_profile",

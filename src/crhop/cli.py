@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -89,11 +88,6 @@ def _cmd_run(args) -> int:
             f"activity={res.scenario['activity']}: attr={res.attr_slots:.3f} slots, "
             f"ppr={ppr_text}, censored={res.censored_nodes}"
         )
-    if args.trace:
-        for index in range(config.runs):
-            path = os.path.join(args.out, f"trace_run{index}.csv")
-            with writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
-                _write_trace(fh, config, index)
     print(f"wrote {args.out}/data.csv and {args.out}/summary.json")
     return 0
 
@@ -120,23 +114,18 @@ def _cmd_check_table1(args) -> int:
     return 0 if passed else 1
 
 
-def _write_trace(stream, config, index: int):
-    """Run `index` of the one-cell sweep `config`, traced, as CSV; returns its record."""
-    (scenario,) = cells(config)
-    seed = derive_run_seed(config.base_seed, scenario.environment_key(), index)
-    record = run(scenario, seed, trace=True)
-    stream.write(_csv_text(TRACE_COLUMNS, (dict(zip(TRACE_COLUMNS, row)) for row in record.trace)))
-    return record
-
-
 def _cmd_trace(args) -> int:
+    """Run `--run-index` of the cell `crhop run` sweeps, traced, as CSV."""
     if args.run_index < 0:
         raise InvalidParameterError(f"run index must be >= 0, got {args.run_index}")
     config = _one_cell_config(args)
+    (scenario,) = cells(config)
+    seed = derive_run_seed(config.base_seed, scenario.environment_key(), args.run_index)
     with writing(args.out):
         out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
-        record = _write_trace(out, config, args.run_index)
+        record = run(scenario, seed, trace=True)
+        out.write(_csv_text(TRACE_COLUMNS, (dict(zip(TRACE_COLUMNS, row)) for row in record.trace)))
     finally:
         if args.out:
             out.close()
@@ -154,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario cell")
     _add_scenario_flags(p_run)
     p_run.add_argument("--runs", default="30")
-    p_run.add_argument("--trace", action="store_true",
-                       help="also write trace_run<i>.csv transcripts into --out")
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=_cmd_run)
 

@@ -38,7 +38,6 @@ WORKERS_ENV_VAR = "CRHOP_WORKERS"
 # but "seed", which names the sweep's base seed.
 CELL_COLUMNS = ("protocol", "handshake", "N", "C", "mode", "m", "activity")
 DATA_COLUMNS = (*CELL_COLUMNS, "seed", "attr_slots", "ppr", "sd", "censored")
-PLOT_COLUMNS = (*CELL_COLUMNS, "metric", "value")
 
 # ExperimentResult fields a summary.json cell holds next to its scenario.
 SUMMARY_FIELDS = (
@@ -284,27 +283,6 @@ def check_table1(table: tuple[tuple[float, float], ...] | None = None) -> tuple[
         u = utilization(ActivityRates(lx, ly))
         checks.append(Table1Check(i, lx, ly, u, u_expected, abs(u - u_expected) <= 0.01))
     return tuple(checks)
-
-
-def plot_rows(results) -> list[dict]:
-    """Long-format rows, one per (cell, metric), for external plotting.
-
-    Rows keep cell order within each handshake, the handshakes in name order.
-    """
-    if not results:
-        raise InvalidParameterError("no results to emit")
-    rows = [
-        {**{c: res.scenario[c] for c in CELL_COLUMNS}, "metric": metric, "value": getattr(res, metric)}
-        for res in results
-        for metric in ("attr_slots", "ppr")
-    ]
-    rows.sort(key=lambda row: row["handshake"])
-    return rows
-
-
-def emit_plotdata(results) -> str:
-    """plotdata.csv text of `plot_rows(results)`."""
-    return _csv_text(PLOT_COLUMNS, plot_rows(results))
 
 
 def parse_config_file(path: str) -> dict[str, str]:

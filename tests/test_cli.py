@@ -13,7 +13,7 @@ from crhop import experiment
 from crhop.activity import RATE_TABLE
 from crhop.cli import _one_cell_config, build_parser, main
 from crhop.engine import MAX_CHANNELS, Scenario
-from crhop.experiment import SweepConfig, cells, run_sweep
+from crhop.experiment import SweepConfig, cells, run_group, run_sweep
 
 
 def test_check_table1_exit_code(capsys):
@@ -90,12 +90,35 @@ def test_trace_bytes_are_pinned(tmp_path, capsys):
         "5550e664fec9c4da48248ca19a086c405b2b2038a8a106441941b239846fa39c")
 
 
-def test_trace_writes_the_run_trace_of_the_same_cell(tmp_path, capsys):
+def test_symmetric_trace_ignores_m(tmp_path, capsys):
     # symmetric cells clear m, so --m must not change the traced run
-    flags = ["--mode", "sym", "--m", "3", "--nodes", "3", "--channels", "4", "--seed", "2"]
-    assert main(["trace", *flags, "--out", str(tmp_path / "trace.csv")]) == 0
-    assert main(["run", *flags, "--runs", "1", "--trace", "--out", str(tmp_path / "run")]) == 0
-    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "run" / "trace_run0.csv").read_bytes()
+    flags = ["trace", "--mode", "sym", "--nodes", "3", "--channels", "4", "--seed", "2"]
+    assert main([*flags, "--out", str(tmp_path / "plain.csv")]) == 0
+    assert main([*flags, "--m", "3", "--out", str(tmp_path / "m.csv")]) == 0
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
+
+
+def test_trace_of_a_run_index_is_that_run_of_the_swept_cell(tmp_path, capsys):
+    flags = ["--mode", "asym", "--m", "2", "--nodes", "4", "--channels", "5", "--activity", "mix",
+             "--seed", "2", "--max-slots", "300"]
+    args = build_parser().parse_args(["run", *flags, "--runs", "2", "--out", str(tmp_path / "run")])
+    config = _one_cell_config(args)
+    (result,) = run_group(cells(config), config.runs, config.base_seed)
+    assert main(["trace", *flags, "--run-index", "1", "--out", str(tmp_path / "trace.csv")]) == 0
+    lines = [
+        f"# ttr_half_slots=[{', '.join(map(str, r.ttr_half_slots))}] packets={r.packets} rendezvous={r.rendezvous}"
+        for r in result.records
+    ]
+    assert lines[0] != lines[1]
+    assert capsys.readouterr().err.splitlines() == [lines[1]]
+
+
+def test_run_no_longer_takes_trace(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--nodes", "2", "--runs", "1", "--trace", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_symmetric_run_summary_ignores_cleared_m_and_k(tmp_path, capsys):
@@ -336,10 +359,26 @@ def test_output_under_a_file_exits_2_before_any_cell_runs(command, flags, monkey
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_handshake_study_without_runs_exits_2(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "handshake_study.py"
-    spec = importlib.util.spec_from_file_location("handshake_study", path)
-    study = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(study)
-    assert study.main(["--runs", "0", "--nodes", "2"]) == 2
+    assert _load_script("handshake_study").main(["--runs", "0", "--nodes", "2"]) == 2
     assert "error: summarize needs at least one run record" in capsys.readouterr().err
+
+
+def test_full_grid_without_runs_exits_2(tmp_path, capsys):
+    assert _load_script("run_full_grid").main(["--runs", "0", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: runs must be >= 1, got 0\n"
+
+
+def test_full_grid_under_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    assert _load_script("run_full_grid").main(["--runs", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'sym10'}: ")

@@ -1,7 +1,5 @@
-"""Sweep orchestration, table check, plot emission and config parsing."""
+"""Sweep orchestration, table check and config parsing."""
 
-import csv
-import io
 import json
 import math
 
@@ -15,9 +13,7 @@ from crhop.experiment import (
     check_table1,
     config_from_mapping,
     data_csv_text,
-    emit_plotdata,
     parse_config_file,
-    plot_rows,
     run_group,
     run_sweep,
 )
@@ -161,31 +157,6 @@ class TestCheckTable1:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             check_table1(table=((1.0, 1.0),))
-
-
-class TestPlotData:
-    def test_two_cells_four_rows(self, tmp_path):
-        results = run_sweep(tiny_config(protocols=("mdmca", "mrcs")), str(tmp_path))
-        rows = plot_rows(results)
-        assert len(rows) == 4
-        assert {r["metric"] for r in rows} == {"attr_slots", "ppr"}
-
-    def test_grouping_by_handshake(self, tmp_path):
-        results = run_sweep(tiny_config(handshakes=("3wh", "2wh")), str(tmp_path))
-        rows = plot_rows(results)
-        assert [r["handshake"] for r in rows] == ["2wh", "2wh", "3wh", "3wh"]
-
-    def test_round_trip_exact(self, tmp_path):
-        results = run_sweep(tiny_config(runs=3), str(tmp_path))
-        text = emit_plotdata(results)
-        parsed = list(csv.DictReader(io.StringIO(text)))
-        by_metric = {r["metric"]: r for r in parsed}
-        assert float(by_metric["attr_slots"]["value"]) == results[0].attr_slots
-        assert float(by_metric["ppr"]["value"]) == results[0].ppr
-
-    def test_empty_results_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            plot_rows([])
 
 
 class TestConfigParsing:
