@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 
@@ -121,14 +123,26 @@ def _cmd_trace(args) -> int:
     config = _one_cell_config(args)
     (scenario,) = cells(config)
     seed = derive_run_seed(config.base_seed, scenario.environment_key(), args.run_index)
-    with writing(args.out):
-        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    out, part = sys.stdout, None
+    if args.out:  # a temporary file beside --out, renamed onto it once the run succeeds, so a failed run leaves none
+        head, tail = os.path.split(args.out)
+        part = os.path.join(head, f".{tail}.{os.getpid()}.part")
+        with writing(args.out):
+            if os.path.isdir(args.out):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            out = open(part, "w", encoding="utf-8", newline="")
     try:
         record = run(scenario, seed, trace=True)
         out.write(_csv_text(TRACE_COLUMNS, (dict(zip(TRACE_COLUMNS, row)) for row in record.trace)))
-    finally:
-        if args.out:
+        if part is not None:
             out.close()
+            with writing(args.out):
+                os.replace(part, args.out)
+    finally:
+        if part is not None:
+            out.close()
+            if os.path.exists(part):
+                os.remove(part)
     ttrs = ", ".join(str(t) for t in record.ttr_half_slots)
     print(f"# ttr_half_slots=[{ttrs}] packets={record.packets} rendezvous={record.rendezvous}",
           file=sys.stderr)

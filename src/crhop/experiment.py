@@ -120,6 +120,10 @@ def run_group(scenarios: list[Scenario], runs: int, base_seed: int) -> list[Expe
     """Execute cells that share one environment key, R runs each, in the given order.
 
     Per run index the environment is built once and every cell runs on it.
+    A cell whose behaviour an earlier cell already ran (memca at the default
+    unbounded window after mmca) gets that record from the environment,
+    unwalked: a record is a pure function of the environment and the
+    behaviour key, so it is the record the cell would compute.
     """
     if not scenarios:
         raise InvalidParameterError("run_group needs at least one cell")

@@ -382,3 +382,19 @@ def test_full_grid_under_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "file" / "sub"
     assert _load_script("run_full_grid").main(["--runs", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'sym10'}: ")
+
+
+def test_trace_of_a_failed_run_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    flags = ["--nodes", "200", "--area", "10000x10000", "--range", "1"]  # no connected placement
+    assert main(["trace", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: no connected placement")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_replaces_an_existing_file_and_leaves_nothing_beside_it(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    out.write_text("old\n")
+    assert main(["trace", "--nodes", "2", "--max-slots", "5", "--out", str(out)]) == 0
+    assert out.read_text().startswith("slot,half,channel,kind,sender,receiver,pr\n")
+    assert list(tmp_path.iterdir()) == [out]

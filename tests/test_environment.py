@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from crhop import engine
+from crhop import engine, experiment
 from crhop.engine import FIRST_BLOCK_SLOTS, Environment, Scenario, build_environment, run
 from crhop.errors import InvalidParameterError
 from crhop.experiment import run_group
@@ -145,3 +145,62 @@ def test_a_run_fetches_only_the_blocks_it_simulates(max_slots, seed, blocks, mon
     last = max(record.ttr_half_slots)  # the last half-slot the run simulated
     assert (last - 1) // (2 * FIRST_BLOCK_SLOTS) == blocks - 1
     assert fetched == list(range(blocks))
+
+
+def walks(monkeypatch) -> list:
+    """The (protocol, block, trace) of every Environment.schedule call from now on."""
+    calls = []
+    schedule = Environment.schedule
+
+    def recorded(self, protocol, b, trace):
+        calls.append((protocol, b, trace))
+        return schedule(self, protocol, b, trace)
+
+    monkeypatch.setattr(Environment, "schedule", recorded)
+    return calls
+
+
+def test_a_group_runs_unbounded_window_memca_once_as_mmca(monkeypatch):
+    records = []  # (scenario, record) of every run run_group makes, in order
+    engine_run = experiment.run
+
+    def recorded(scenario, seed, **kwargs):
+        records.append((scenario, engine_run(scenario, seed, **kwargs)))
+        return records[-1][1]
+
+    monkeypatch.setattr(experiment, "run", recorded)
+    calls = walks(monkeypatch)
+    cells = [Scenario(protocol=p, handshake=h, **BASE) for p in STRATEGY_KINDS for h in HANDSHAKE_KINDS]
+    results = run_group(cells, 2, 3)
+    by_cell = {cell: [record for sc, record in records if sc == cell] for cell in cells}
+    for handshake in HANDSHAKE_KINDS:
+        twin = by_cell[Scenario(protocol="mmca", handshake=handshake, **BASE)]
+        assert by_cell[Scenario(protocol="memca", handshake=handshake, **BASE)] == twin
+    # memca reaches no schedule; every other protocol does, once per run at least
+    assert {protocol for protocol, _, _ in calls} == set(STRATEGY_KINDS) - {"memca"}
+    memca = [res for res in results if res.scenario["protocol"] == "memca"]
+    mmca = [res for res in results if res.scenario["protocol"] == "mmca"]
+    assert [res.attr_slots for res in memca] == [res.attr_slots for res in mmca]
+
+
+@pytest.mark.parametrize("changes, options", [
+    pytest.param({"protocol": "memca", "emca_window": 2}, {}, id="finite-window"),
+    pytest.param({}, {"election": lambda tag, options: options[-1]}, id="election"),
+    pytest.param({}, {"trace": True}, id="traced"),
+    pytest.param({"max_slots": FIRST_BLOCK_SLOTS + 9}, {}, id="shorter-budget"),
+])
+def test_a_run_of_another_behaviour_walks_on_its_own(changes, options, monkeypatch):
+    calls = walks(monkeypatch)
+    base = Scenario(protocol="mmca", handshake="3wh", **BASE)
+    seed = SEEDS[1]
+    environment = build_environment(base, seed)
+    first = run(base, seed, environment=environment)
+    twin = replace(base, protocol="memca")
+    del calls[:]
+    assert run(twin, seed, environment=environment) == first and not calls  # served, unwalked
+    scenario = replace(base, **changes)
+    record = run(scenario, seed, environment=environment, **options)
+    assert calls, "the run walked no block"
+    assert record == run(scenario, seed, **options)
+    # and it left the twin's record as it was
+    assert run(twin, seed, environment=environment) is first
