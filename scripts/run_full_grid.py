@@ -8,8 +8,8 @@ Three sub-sweeps cover the scenario families of interest:
 
 All four protocols and both handshakes run in every sub-sweep with paired
 seeds, so any two cells differing only in protocol or handshake share their
-topologies and occupancy traces. The defaults took about 10 s on 2 cores
-(Python 3.11); set CRHOP_WORKERS to parallelize across cells.
+topologies and occupancy traces. The defaults took 9–10 s on 2 cores
+(Python 3.11, serial); set CRHOP_WORKERS to parallelize across cells.
 
 Usage: python scripts/run_full_grid.py [--out results] [--runs 30] [--seed 1]
 """

@@ -386,7 +386,7 @@ def test_full_grid_under_a_file_exits_2(tmp_path, capsys):
 
 def test_trace_of_a_failed_run_leaves_no_file(tmp_path, capsys):
     out = tmp_path / "trace.csv"
-    flags = ["--nodes", "200", "--area", "10000x10000", "--range", "1"]  # no connected placement
+    flags = ["--nodes", "2", "--area", "10000x10000", "--range", "1"]  # no connected placement
     assert main(["trace", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: no connected placement")
     assert list(tmp_path.iterdir()) == []

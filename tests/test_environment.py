@@ -171,16 +171,13 @@ def test_a_group_runs_unbounded_window_memca_once_as_mmca(monkeypatch):
     monkeypatch.setattr(experiment, "run", recorded)
     calls = walks(monkeypatch)
     cells = [Scenario(protocol=p, handshake=h, **BASE) for p in STRATEGY_KINDS for h in HANDSHAKE_KINDS]
-    results = run_group(cells, 2, 3)
+    run_group(cells, 2, 3)
     by_cell = {cell: [record for sc, record in records if sc == cell] for cell in cells}
     for handshake in HANDSHAKE_KINDS:
         twin = by_cell[Scenario(protocol="mmca", handshake=handshake, **BASE)]
-        assert by_cell[Scenario(protocol="memca", handshake=handshake, **BASE)] == twin
-    # memca reaches no schedule; every other protocol does, once per run at least
+        assert len(twin) == 2 and by_cell[Scenario(protocol="memca", handshake=handshake, **BASE)] == twin
+    # memca reaches no schedule; every other protocol does
     assert {protocol for protocol, _, _ in calls} == set(STRATEGY_KINDS) - {"memca"}
-    memca = [res for res in results if res.scenario["protocol"] == "memca"]
-    mmca = [res for res in results if res.scenario["protocol"] == "mmca"]
-    assert [res.attr_slots for res in memca] == [res.attr_slots for res in mmca]
 
 
 @pytest.mark.parametrize("changes, options", [
@@ -188,6 +185,10 @@ def test_a_group_runs_unbounded_window_memca_once_as_mmca(monkeypatch):
     pytest.param({}, {"election": lambda tag, options: options[-1]}, id="election"),
     pytest.param({}, {"trace": True}, id="traced"),
     pytest.param({"max_slots": FIRST_BLOCK_SLOTS + 9}, {}, id="shorter-budget"),
+    pytest.param({"completion_mode": "active"}, {}, id="completion-mode"),
+    pytest.param({"share_unconfirmed_links": True}, {}, id="shared-links"),
+    pytest.param({"handshake": "2wh"}, {}, id="handshake"),
+    pytest.param({"protocol": "mrcs"}, {}, id="clock-class"),
 ])
 def test_a_run_of_another_behaviour_walks_on_its_own(changes, options, monkeypatch):
     calls = walks(monkeypatch)
@@ -197,7 +198,7 @@ def test_a_run_of_another_behaviour_walks_on_its_own(changes, options, monkeypat
     first = run(base, seed, environment=environment)
     twin = replace(base, protocol="memca")
     del calls[:]
-    assert run(twin, seed, environment=environment) == first and not calls  # served, unwalked
+    assert run(twin, seed, environment=environment) is first and not calls  # served, unwalked
     scenario = replace(base, **changes)
     record = run(scenario, seed, environment=environment, **options)
     assert calls, "the run walked no block"
