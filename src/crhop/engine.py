@@ -28,9 +28,10 @@ members and stops at the run's budget or after the half-slot in which the
 last node completes. Any other idle node is a cluster of one, whose lone
 D-REQ, if it is incomplete, is counted from the schedule's lone matrix.
 
-Neighbor tables, tuned sets and clusters are id bitmasks (bit i is node i). An
-election takes the draw-th set bit, with no draw for one candidate; ids are
-listed only for an `election=` callable, a trace row or a silence check.
+Neighbor tables, tuned sets and clusters are id bitmasks (bit i is node i).
+The walk makes the default election inline, the draw-th set bit with no draw
+for one candidate, and settles each handshake with one run_handshake call; ids
+are listed only for an `election=` callable, a trace row or a silence check.
 
 A run is deterministic given (scenario, seed): all randomness flows through
 labeled substreams of the run seed, and environment streams (topology,
@@ -371,16 +372,6 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
     if election is None:
         draw = uniform_index(seeded_rng(environment.seeds[n]))
 
-        def choose(tag: str, mask: int) -> int:
-            """The draw-th id of `mask`, ascending; one id draws nothing, as draw(1) reads nothing."""
-            if mask & (mask - 1):
-                for _ in range(draw(mask.bit_count())):
-                    mask &= mask - 1
-            return (mask & -mask).bit_length() - 1
-    else:
-        def choose(tag: str, mask: int) -> int:
-            return election(tag, _ids(mask))
-
     neighbor_masks = environment.topology.neighbor_masks
     tables = [NeighborTables(i) for i in range(n)]
     done = {0: 0} if n == 1 else {}  # complete node id -> its TTR in half-slots
@@ -392,6 +383,9 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
     met_pairs: set[int] = set()  # id masks of the pairs that have handshaken
     quiet = 0  # nodes that may not initiate: complete, all direct links confirmed, mode not "active"
     silencing = scenario.completion_mode == "silent" or window < math.inf
+    quieting = scenario.completion_mode != "active"
+    everyone = (1 << n) - 1  # a node's tables are complete when they and it cover this
+    kind, share = scenario.handshake, scenario.share_unconfirmed_links
 
     def is_silent(i: int, slot: int) -> bool:  # asked only when silencing, of a complete node
         # (ttr + 1) // 2 is the slot the node completed in
@@ -430,34 +424,52 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
                         if rows is not None:
                             rows.append((slot, half, channel, D_REQ, i, None, OFF))
                     continue
-                init = choose("initiator", eligible)
+                # The draw-th candidate, ascending; one candidate draws nothing, as draw(1) reads nothing.
+                if election is None:
+                    if eligible & (eligible - 1):
+                        for _ in range(draw(eligible.bit_count())):
+                            eligible &= eligible - 1
+                    init = (eligible & -eligible).bit_length() - 1
+                else:
+                    init = election("initiator", _ids(eligible))
                 in_range = cluster & neighbor_masks[init]
                 # Responder preference: peers never heard of, then direct links still
                 # awaiting confirmation, then peers known only indirectly, then confirmed
                 # links. The unconfirmed tier is what sends a two-way handshake's
                 # responder back toward that neighbor at later meetings.
-                dnl, inl, confirmed = tables[init].dnl, tables[init].inl, tables[init].confirmed
+                mine = tables[init]
+                dnl, inl, confirmed = mine.dnl, mine.inl, mine.confirmed
                 tier = (
                     in_range & ~(dnl | inl)
                     or in_range & dnl & ~confirmed
                     or in_range & inl
                     or in_range & confirmed
                 )
-                responder = choose("responder", tier)
-                messages = run_handshake(scenario.handshake, tables[init], tables[responder],
-                                         scenario.share_unconfirmed_links)
+                if election is None:
+                    if tier & (tier - 1):
+                        for _ in range(draw(tier.bit_count())):
+                            tier &= tier - 1
+                    responder = (tier & -tier).bit_length() - 1
+                else:
+                    responder = election("responder", _ids(tier))
+                theirs = tables[responder]
+                messages = run_handshake(kind, mine, theirs, share)
                 packets += len(messages)
                 met_pairs.add(1 << init | 1 << responder)
                 if rows is not None:
-                    rows.extend((slot, half, channel, kind, s, r, OFF) for kind, s, r in messages)
+                    rows.extend((slot, half, channel, *message, OFF) for message in messages)
                 # Settled at once: each is on one channel per half-slot, so no other cluster reads them.
-                for i in (init, responder):
-                    dnl, inl, confirmed = tables[i].dnl, tables[i].inl, tables[i].confirmed
-                    if i not in done and (dnl | inl).bit_count() == n - 1:
+                for i, node in ((init, mine), (responder, theirs)):
+                    dnl, bit = node.dnl, 1 << i
+                    if not complete & bit:  # an incomplete node is never quiet
+                        if dnl | node.inl | bit != everyone:
+                            continue
                         done[i] = 2 * slot - 2 + half
-                        complete |= 1 << i
-                    settled = i in done and not dnl & ~confirmed and scenario.completion_mode != "active"
-                    quiet = quiet & ~(1 << i) | settled << i
+                        complete |= bit
+                    if quieting and not dnl & ~node.confirmed:
+                        quiet |= bit
+                    else:
+                        quiet &= ~bit
         # half-slots of the block each node spent incomplete; a node that
         # completed at half-slot k of the block has TTR first + k (k < 0 for
         # an earlier block, which sends none of the block's lone D-REQs)

@@ -14,6 +14,12 @@ set-based search over the topology's neighbor sets.
 `ids` decodes an id bitmask (bit i is node i), the form of neighbor tables
 and clusters, into the set of ids it holds.
 
+Handshakes: `crhop.handshake.run_handshake` settles a handshake in straight-
+line bit arithmetic; `snapshot` and `merge` are its steps one message at a
+time, and `handshake` chains them: the D-REQ's snapshot merged by the
+responder, the reply's by the initiator, which confirms the link, and for
+3WH the closing D-ACK's by the responder, which confirms it too.
+
 Seeding: `crhop.seeding.labeled_seeds` derives every labeled stream's seed in
 one array pass; `labeled_rng` builds one label's stream through numpy's own
 SeedSequence, the definition that pass reproduces.
@@ -26,6 +32,8 @@ from bisect import bisect_right
 import numpy as np
 
 from crhop.activity import OFF, ON
+from crhop.errors import InvalidParameterError
+from crhop.handshake import D_ACK, D_REQ, D_RESP
 
 
 def labeled_rng(parent: np.random.SeedSequence, label: str) -> np.random.Generator:
@@ -109,3 +117,33 @@ def clusters(member_ids: list[int], topology) -> list[list[int]]:
                     stack.append(v)
         out.append(sorted(comp))
     return out
+
+
+def snapshot(tables, share_unconfirmed: bool = True) -> tuple[int, int]:
+    """(dnl, inl) as `tables` transmits them. With share_unconfirmed=False the
+    sender withholds direct links it has not yet confirmed."""
+    return (tables.dnl if share_unconfirmed else tables.dnl & tables.confirmed), tables.inl
+
+
+def merge(tables, sender: int, dnl: int, inl: int) -> None:
+    """Fold a message from `sender` carrying its (dnl, inl) into `tables`: the
+    sender becomes a direct neighbor, every node it reports an indirect one
+    unless already direct. Idempotent."""
+    if sender == tables.owner:
+        raise InvalidParameterError("a node cannot merge its own message")
+    tables.dnl |= 1 << sender
+    tables.inl = (tables.inl | dnl | inl) & ~(tables.dnl | 1 << tables.owner)
+
+
+def handshake(kind: str, initiator, responder, share_unconfirmed: bool = True) -> tuple:
+    """One handshake as its messages' snapshot and merge steps; returns its
+    (kind, sender, receiver) messages in order."""
+    a, b = initiator.owner, responder.owner
+    merge(responder, a, *snapshot(initiator, share_unconfirmed))
+    merge(initiator, b, *snapshot(responder, share_unconfirmed))
+    initiator.confirmed |= 1 << b
+    if kind == "2wh":
+        return (D_REQ, a, b), (D_ACK, b, a)
+    merge(responder, a, *snapshot(initiator, share_unconfirmed))
+    responder.confirmed |= 1 << a
+    return (D_REQ, a, b), (D_RESP, b, a), (D_ACK, a, b)

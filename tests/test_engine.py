@@ -350,6 +350,29 @@ def test_packets_never_below_handshake_floor():
             assert record.packets / record.rendezvous >= 2
 
 
+@pytest.mark.parametrize("handshake", ["2wh", "3wh"])
+def test_every_handshake_goes_through_engine_run_handshake(monkeypatch, handshake):
+    # perfbench's handshake.run span and the neighbor-table invariant property
+    # wrap engine.run_handshake, so the walk must call it for every handshake:
+    # once per D-REQ with a receiver (a lone D-REQ has none).
+    import crhop.engine
+
+    calls = []
+    original = crhop.engine.run_handshake
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(crhop.engine, "run_handshake", counted)
+    sc = Scenario(nodes=12, channels=3, mode="sym", activity="mix", protocol="mmca",
+                  handshake=handshake, area=(150.0, 150.0), max_slots=300)
+    record = run(sc, 3, trace=True)
+    requests = sum(1 for row in record.trace if row[3] == D_REQ and row[5] is not None)
+    assert requests > 0 and len(calls) == requests
+    assert set(calls) == {handshake}
+
+
 def test_packet_floor_violation_raises_even_without_asserts(monkeypatch):
     # An explicit check, not an assert, so `python -O` keeps it: a handshake
     # that transmits nothing breaks packets >= size * rendezvous.

@@ -5,6 +5,7 @@ Tables hold bitmasks of node ids. The hand-written cases name their nodes
 to names, so each case reads as sets of names.
 """
 
+import dataclasses
 import string
 
 import numpy as np
@@ -20,6 +21,7 @@ from crhop.handshake import (
     NeighborTables,
     run_handshake,
 )
+import reference
 from reference import ids
 
 NAMES = string.ascii_uppercase
@@ -43,7 +45,7 @@ def tables(owner, dnl=(), inl=(), confirmed=()):
 
 
 def merge(t, sender, dnl, inl):
-    t.merge(node(sender), bits(dnl), bits(inl))
+    reference.merge(t, node(sender), bits(dnl), bits(inl))
 
 
 def knowledge(t):
@@ -103,6 +105,14 @@ class TestMerge:
         local = tables("A")
         with pytest.raises(InvalidParameterError):
             merge(local, "A", set(), set())
+
+
+def test_a_node_cannot_handshake_with_itself():
+    for kind in ("2wh", "3wh"):
+        local = tables("A", dnl={"B"}, inl={"C"}, confirmed={"B"})
+        with pytest.raises(InvalidParameterError):
+            run_handshake(kind, local, local)
+        assert local == tables("A", dnl={"B"}, inl={"C"}, confirmed={"B"})
 
 
 class TestTwoWay:
@@ -166,6 +176,38 @@ class TestThreeWay:
             (D_RESP, "B", "A"),
             (D_ACK, "A", "B"),
         )
+
+
+MAX_ID = 70  # masks past one machine word
+
+
+@st.composite
+def neighbor_tables(draw, owner):
+    """Tables of `owner` that keep NeighborTables' invariants, ids up to MAX_ID."""
+    mask = st.integers(min_value=0, max_value=(1 << MAX_ID + 1) - 1)
+    dnl = draw(mask) & ~(1 << owner)
+    inl = draw(mask) & ~(dnl | 1 << owner)
+    return NeighborTables(owner, dnl, inl, draw(mask) & dnl)
+
+
+@st.composite
+def handshakes(draw):
+    a = draw(st.integers(min_value=0, max_value=MAX_ID))
+    b = draw(st.integers(min_value=0, max_value=MAX_ID).filter(lambda x: x != a))
+    return (draw(st.sampled_from(["2wh", "3wh"])), draw(neighbor_tables(a)), draw(neighbor_tables(b)),
+            draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(handshakes())
+def test_run_handshake_equals_the_reference_snapshot_and_merge_steps(case):
+    kind, initiator, responder, share_unconfirmed = case
+    expected_initiator, expected_responder = dataclasses.replace(initiator), dataclasses.replace(responder)
+    expected = reference.handshake(kind, expected_initiator, expected_responder, share_unconfirmed)
+    assert run_handshake(kind, initiator, responder, share_unconfirmed) == expected
+    assert (initiator, responder) == (expected_initiator, expected_responder)
+    for t in (initiator, responder):
+        check_invariants(t)
 
 
 @st.composite
