@@ -2,28 +2,41 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import GenerationFailureError, InvalidParameterError, read_input
 
 DEFAULT_ATTEMPT_BUDGET = 10_000
-FIRST_BATCH, MAX_BATCH, MAX_CELLS = 32, 128, 1 << 13  # batch sizes: see generate_topology
+FIRST_BATCH, MAX_BATCH, MAX_CELLS = 64, 256, 1 << 12  # batch sizes: see generate_topology
 
 
-def unit_disk_adjacency(points: np.ndarray, radio_range: float) -> np.ndarray:
-    """Adjacency of (..., n, 2) points: distinct pairs with dx*dx + dy*dy <= range*range."""
-    x, y = np.moveaxis(points, -1, 0).copy()
-    dx, dy = x[..., :, None] - x[..., None, :], y[..., :, None] - y[..., None, :]
-    squared = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
-    return (squared <= radio_range * radio_range) & ~np.eye(points.shape[-2], dtype=bool)
+@functools.lru_cache(maxsize=4)
+def pair_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables of the P = n(n-1)/2 pairs i<j of n nodes: their i and j, each
+    (n, n) cell's pair (P on the diagonal) and an (n-1, n) table of each node's pairs."""
+    first, second = np.triu_indices(n, 1)
+    cells = np.full((n, n), len(first))
+    cells[first, second] = cells[second, first] = np.arange(len(first))
+    for table in (tables := (first, second, cells, np.sort(cells, axis=0)[:-1])):  # P sorts last
+        table.setflags(write=False)
+    return tables
+
+
+def unit_disk_links(points: np.ndarray, radio_range: float) -> np.ndarray:
+    """(P + 1, k) links of k attempts' (k, n, 2) points: dx*dx + dy*dy <= range*range, then no link."""
+    first, second = pair_tables(points.shape[1])[:2]
+    d = np.square(np.take(points.T, first, axis=1) - np.take(points.T, second, axis=1))
+    return np.concatenate((d[0] + d[1] <= radio_range * radio_range, np.zeros((1, len(points)), bool)))
 
 
 def connected(adjacency: np.ndarray) -> np.ndarray:
     """Whether each (..., n, n) adjacency is connected: reach from node 0, one hop per matmul."""
     links = (adjacency | np.eye(adjacency.shape[-1], dtype=bool)).astype(np.float32)
-    reached = links[..., :1, :]
-    while not np.array_equal(grown := (reached @ links > 0).astype(np.float32), reached):
-        reached = grown
+    reached, count = links[..., :1, :], 0
+    while count != (count := np.count_nonzero(reached)):  # reach only grows
+        reached = np.sign(reached @ links)
     return reached.all(axis=(-2, -1))
 
 
@@ -39,7 +52,7 @@ class Topology:
 
     def __init__(self, positions: list[tuple[float, float]], radio_range: float):
         points = np.array(positions, dtype=float).reshape(len(positions), 2)
-        self._index(points, unit_disk_adjacency(points, float(radio_range)))
+        self._index(points, np.take(unit_disk_links(points[None], float(radio_range)), pair_tables(len(points))[2]))
 
     def _index(self, points: np.ndarray, adjacency: np.ndarray) -> Topology:
         """Fill in the topology of `points` from their unit-disk `adjacency`."""
@@ -69,26 +82,28 @@ def generate_topology(
     Returns the first connected of at most max_attempts attempts, drawn k at a
     time as random((k, n, 2)) * area, the values of k uniform(size=(n, 2))
     draws (so rng ends past it). k doubles from FIRST_BATCH to MAX_BATCH within
-    MAX_CELLS adjacency cells (k >= 1): a batch's work past its first hit is
-    wasted. Only attempts where no node is isolated are tested for connectivity.
-    GenerationFailureError flags an infeasible scenario.
+    MAX_CELLS links, n(n-1)/2 + 1 per attempt (k >= 1): a batch's work past its
+    first hit is wasted. Only attempts where no node is isolated get an n x n
+    adjacency and a connectivity test. GenerationFailureError flags an infeasible scenario.
     """
-    if node_count < 1:
-        raise InvalidParameterError(f"node_count must be >= 1, got {node_count}")
+    for name, count in (("node_count", node_count), ("max_attempts", max_attempts)):
+        if count < 1:
+            raise InvalidParameterError(f"{name} must be >= 1, got {count}")
     if not radio_range > 0:
         raise InvalidParameterError(f"radio_range must be positive, got {radio_range}")
     width, height = area
     if not (0 < width < np.inf and 0 < height < np.inf):
         raise InvalidParameterError(f"area sides must be finite and positive, got {area}")
+    first, _, cells, others = pair_tables(node_count)
     drawn = 0
     while drawn < max_attempts:
-        size = min(max(drawn, FIRST_BATCH), MAX_BATCH, max(MAX_CELLS // node_count**2, 1), max_attempts - drawn)
+        size = min(max(drawn, FIRST_BATCH), MAX_BATCH, max(MAX_CELLS // (len(first) + 1), 1), max_attempts - drawn)
         points = rng.random((size, node_count, 2)) * (width, height)
-        adjacency = unit_disk_adjacency(points, radio_range)
-        candidates = np.flatnonzero(adjacency.any(-1).all(-1) | (node_count == 1))
-        hits = candidates[connected(adjacency[candidates])]
-        if hits.size:
-            return Topology.__new__(Topology)._index(points[hits[0]], adjacency[hits[0]])  # not computed again
+        links = unit_disk_links(points, radio_range)
+        candidates = np.flatnonzero(np.take(links, others, axis=0).any(0).all(0) | (node_count == 1))
+        adjacency = np.take(np.take(links, candidates, axis=1).T, cells, axis=1)
+        if (hits := np.flatnonzero(connected(adjacency))).size:
+            return Topology.__new__(Topology)._index(points[candidates[hits[0]]], adjacency[hits[0]])
         drawn += size
     raise GenerationFailureError(
         f"no connected placement of {node_count} nodes in {width}x{height} "

@@ -20,6 +20,12 @@ time, and `handshake` chains them: the D-REQ's snapshot merged by the
 responder, the reply's by the initiator, which confirms the link, and for
 3WH the closing D-ACK's by the responder, which confirms it too.
 
+Topologies: `crhop.topology.generate_topology` decides links on the pairs
+i<j and builds an n x n adjacency only for attempts with no isolated node;
+`generate_topology` here is the sampler it replaced, unchanged: every attempt
+gets the full (n, n) distance matrix from `unit_disk_adjacency`, and batches
+are sized in n^2 cells by `FIRST_BATCH`, `MAX_BATCH` and `MAX_CELLS`.
+
 Seeding: `crhop.seeding.labeled_seeds` derives every labeled stream's seed in
 one array pass; `labeled_rng` builds one label's stream through numpy's own
 SeedSequence, the definition that pass reproduces.
@@ -32,8 +38,9 @@ from bisect import bisect_right
 import numpy as np
 
 from crhop.activity import OFF, ON
-from crhop.errors import InvalidParameterError
+from crhop.errors import GenerationFailureError, InvalidParameterError
 from crhop.handshake import D_ACK, D_REQ, D_RESP
+from crhop.topology import Topology
 
 
 def labeled_rng(parent: np.random.SeedSequence, label: str) -> np.random.Generator:
@@ -147,3 +154,42 @@ def handshake(kind: str, initiator, responder, share_unconfirmed: bool = True) -
     merge(responder, a, *snapshot(initiator, share_unconfirmed))
     responder.confirmed |= 1 << a
     return (D_REQ, a, b), (D_RESP, b, a), (D_ACK, a, b)
+
+
+FIRST_BATCH, MAX_BATCH, MAX_CELLS = 32, 128, 1 << 13  # batch sizes: see generate_topology
+
+
+def unit_disk_adjacency(points: np.ndarray, radio_range: float) -> np.ndarray:
+    """Adjacency of (..., n, 2) points: distinct pairs with dx*dx + dy*dy <= range*range."""
+    x, y = np.moveaxis(points, -1, 0).copy()
+    dx, dy = x[..., :, None] - x[..., None, :], y[..., :, None] - y[..., None, :]
+    squared = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+    return (squared <= radio_range * radio_range) & ~np.eye(points.shape[-2], dtype=bool)
+
+
+def connected(adjacency: np.ndarray) -> np.ndarray:
+    """Whether each (..., n, n) adjacency is connected: reach from node 0, one hop per matmul."""
+    links = (adjacency | np.eye(adjacency.shape[-1], dtype=bool)).astype(np.float32)
+    reached = links[..., :1, :]
+    while not np.array_equal(grown := (reached @ links > 0).astype(np.float32), reached):
+        reached = grown
+    return reached.all(axis=(-2, -1))
+
+
+def generate_topology(node_count, area, radio_range, rng, max_attempts):
+    """The first connected of at most max_attempts attempts, drawn k at a time
+    as random((k, n, 2)) * area; k doubles from FIRST_BATCH to MAX_BATCH within
+    MAX_CELLS adjacency cells (k >= 1). Only attempts where no node is isolated
+    are tested for connectivity."""
+    width, height = area
+    drawn = 0
+    while drawn < max_attempts:
+        size = min(max(drawn, FIRST_BATCH), MAX_BATCH, max(MAX_CELLS // node_count**2, 1), max_attempts - drawn)
+        points = rng.random((size, node_count, 2)) * (width, height)
+        adjacency = unit_disk_adjacency(points, radio_range)
+        candidates = np.flatnonzero(adjacency.any(-1).all(-1) | (node_count == 1))
+        hits = candidates[connected(adjacency[candidates])]
+        if hits.size:
+            return Topology.__new__(Topology)._index(points[hits[0]], adjacency[hits[0]])
+        drawn += size
+    raise GenerationFailureError(f"no connected placement within {max_attempts} attempts")

@@ -117,7 +117,7 @@ def batch_ends(node_count, max_attempts):
     """Attempts drawn by the end of each of generate_topology's batches."""
     ends = [0]
     while ends[-1] < max_attempts:
-        cap = max(MAX_CELLS // node_count**2, 1)
+        cap = max(MAX_CELLS // (node_count * (node_count - 1) // 2 + 1), 1)
         ends.append(ends[-1] + min(max(ends[-1], FIRST_BATCH), MAX_BATCH, cap, max_attempts - ends[-1]))
     return ends[1:]
 
@@ -131,6 +131,62 @@ def test_attempt_budget_is_exact():
         generate_topology(10, area, 100.0, np.random.default_rng(seed), max_attempts=j - 1)
     topo = generate_topology(10, area, 100.0, np.random.default_rng(seed), max_attempts=j)
     assert topo.positions == positions
+
+
+class RecordingRng:
+    """A Generator that records the shape of every `random` draw."""
+
+    def __init__(self, seed):
+        self.rng, self.shapes = np.random.default_rng(seed), []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
+@pytest.mark.parametrize("node_count", [2, 3, 10, 20, 65, 200])
+def test_batches_stay_within_the_cell_cap(node_count):
+    # A range no pair reaches: every batch up to the budget is drawn and rejected
+    rng, budget = RecordingRng(0), 601
+    with pytest.raises(GenerationFailureError):
+        generate_topology(node_count, (400.0, 400.0), 1e-9, rng, max_attempts=budget)
+    pairs = node_count * (node_count - 1) // 2
+    assert all(shape[1:] == (node_count, 2) for shape in rng.shapes)
+    assert all(k * pairs <= MAX_CELLS or k == 1 for k, *_ in rng.shapes)
+    assert np.cumsum([k for k, *_ in rng.shapes]).tolist() == batch_ends(node_count, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    node_count=st.integers(1, 70),
+    width=st.floats(10.0, 1000.0),
+    height=st.floats(10.0, 1000.0),
+    range_share=st.floats(0.02, 0.8),
+    seed=st.integers(0, 2**32 - 1),
+    max_attempts=st.integers(0, 200).map(lambda k: 2 * k + 1),  # a multiple of no batch size
+)
+def test_sampler_equals_the_full_matrix_sampler(node_count, width, height, range_share, seed, max_attempts):
+    # Exact: same float operands and order as the (n, n) distance matrix, so
+    # also at boundary cases that the math.dist reference cannot pin
+    radio_range = range_share * max(width, height)
+    args = node_count, (width, height), radio_range
+    try:
+        expected = reference.generate_topology(*args, np.random.default_rng(seed), max_attempts)
+    except GenerationFailureError:
+        with pytest.raises(GenerationFailureError):
+            generate_topology(*args, np.random.default_rng(seed), max_attempts=max_attempts)
+        return
+    topo = generate_topology(*args, np.random.default_rng(seed), max_attempts=max_attempts)
+    assert topo.positions == expected.positions
+    assert np.array_equal(topo.adjacency, expected.adjacency)
+    assert topo.neighbor_masks == expected.neighbor_masks
+    assert np.array_equal(topo.peers, expected.peers)
+
+
+@pytest.mark.parametrize("max_attempts", [0, -1])
+def test_attempt_budget_below_one_is_a_bad_argument(max_attempts):
+    with pytest.raises(InvalidParameterError, match="max_attempts"):
+        generate_topology(3, (100.0, 100.0), 50.0, np.random.default_rng(0), max_attempts=max_attempts)
 
 
 def test_single_node_trivially_connected():
