@@ -146,6 +146,7 @@ class ChannelProcess:
         # at _ends[i], and an even interval index is an OFF interval.
         # math.inf marks an absorbing state, as in the zero class from time 0.
         self._ends = np.array([math.inf] if rates.lambda_y == 0.0 else [])
+        self._tail = float(self._ends[-1]) if len(self._ends) else 0.0  # last end drawn, or the start
         self._passed = 0
         self._last = 0  # last half-slot served; no call may start before it
 
@@ -163,8 +164,8 @@ def _draw_ends(processes: list[ChannelProcess], t: float) -> None:
     infinite scale makes its state absorbing: every end from its own on is
     math.inf.
     """
-    while todo := [p for p in processes if not len(p._ends) or p._ends[-1] <= t]:
-        starts = [p._ends[-1] if len(p._ends) else 0.0 for p in todo]
+    while todo := [p for p in processes if p._tail <= t]:
+        starts = [p._tail for p in todo]
         # OFF/ON pairs enough to pass t with a wide margin
         pairs = max(int((t - start) / sum(p._scales) * 1.25) + 8 for p, start in zip(todo, starts))
         draws = np.array([p._rng.standard_exponential(2 * pairs) for p in todo])
@@ -182,6 +183,7 @@ def _draw_ends(processes: list[ChannelProcess], t: float) -> None:
                         ends.append((ends[-1] if ends else 0.0) + d)
                 row = ends[len(p._ends):]
             p._ends = np.concatenate((p._ends, row))
+            p._tail = float(p._ends[-1]) if len(p._ends) else 0.0
 
 
 def busy_bits(processes: list[ChannelProcess], first: int, width: int) -> np.ndarray:
@@ -208,7 +210,8 @@ def busy_bits(processes: list[ChannelProcess], first: int, width: int) -> np.nda
     # a uint8 running count wraps modulo 256, which keeps its parity
     busy = (np.cumsum(counts[:, :width], axis=1, dtype=np.uint8) & 1).view(bool)
     for p, size, k in zip(processes, sizes, kept):
-        p._ends = p._ends[size - k:]
-        p._passed += size - k
+        if k < size:  # some end passed
+            p._ends = p._ends[size - k:]
+            p._passed += size - k
         p._last = last
     return busy

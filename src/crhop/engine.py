@@ -270,17 +270,21 @@ def _schedule(hops: np.ndarray, busy: np.ndarray, peers, trace: bool) -> tuple[n
     dtypes, id masks in uint64 up to 64 nodes and as Python ints above."""
     n, width = hops.shape[0] - 1, hops.shape[1]
     padded, hops = hops, hops[:-1]
-    idle = ~busy[hops, np.arange(width)]
+    # busy[hops[i, k], k] by flat index, which int32 holds: (C + 1) * width < 2**31
+    idle = ~np.take(busy, hops * np.int32(width) + np.arange(width, dtype=np.int32))
     # Only a node with a neighbour on its idle channel can be in a cluster
     # of two or more; nodes on one channel share its busy bit.
     met = np.zeros_like(idle)
     for column in peers:
         met |= padded[column] == hops
     heard = idle & met | trace
-    at, who = np.nonzero(heard.T)
+    cells = np.flatnonzero(heard)  # i * width + k of every heard (node i, half-slot k)
+    who, at = np.divmod(cells, width)
     channels = busy.shape[0]  # group keys are k * channels + channel
-    keys = at * channels + hops[who, at]
-    order = np.argsort(keys, kind="stable")
+    keys = at * channels + np.take(hops, cells)
+    # A group's members may come in any order: its id mask is the OR of their
+    # bits, which no order changes, so the sort need not be stable.
+    order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     group_at, group_channel = np.divmod(keys[starts], channels)

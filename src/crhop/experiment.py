@@ -20,7 +20,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from itertools import product
 
@@ -246,6 +245,8 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
     with writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: serial sweeps never pay for it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             by_group = list(pool.map(_run_group_task, tasks))
     else:

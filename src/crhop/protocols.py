@@ -11,9 +11,16 @@ for the next `slots` whole slots, one row per node in half-slot order, and
 leaves each node as `slots` rounds of `select(1)`, `select(2)` would: same
 channels, same stream consumption. A modular clock is affine within a rate
 epoch, so a population's block is one np.repeat of rates per epoch, one cumsum
-and one gather through its `channel_table`; each node draws from its own
-stream, where `integers(bound, size=k)` equals k scalar draws. `select` stays
-as the reference, and serves mdmca nodes with an empty prime or non-prime list.
+and one gather through its `channel_table`. `select` stays as the reference,
+and serves mdmca nodes with an empty prime or non-prime list.
+
+A modular clock redraws its rates once per epoch, a few values a block, and
+takes every value (its first clocks, `select`'s and `block`'s redraws) through
+`_take`, which serves them from a list refilled CHUNK values at a time. All
+come from `integers(bound)` at one bound, and `integers(bound, size=a)` then
+`size=b` gives what `size=a + b` does, so chunking changes no value, and after
+t values taken the stream sits at CHUNK * ceil(t / CHUNK) whichever path took
+them. mrcs takes a value every half-slot and reads each block in one draw.
 """
 
 from __future__ import annotations
@@ -23,13 +30,15 @@ import numpy as np
 from .errors import InvalidParameterError, NoChannelError
 from .spectrum import is_prime, partition_prime
 
+CHUNK = 64  # values per stream read of a modular clock
+
 
 def _clocks(start: list, current: list, first: list, period: list, modulus: list, count: int, draw):
     """(clocks, last): every node's clock values over its next `count` steps,
     shape (nodes, count, clocks), and its rates at the last step. Node i's
     clocks start at start[i] and step by its current rates for first[i] steps;
-    then draw(i, k) supplies k fresh rate tuples as a (k, clocks) array, each
-    held for period[i] steps. int32 holds every sum: moduli stay below a few
+    then draw(i, k) supplies k fresh rate tuples as one flat list, each held
+    for period[i] steps. int32 holds every sum: moduli stay below a few
     thousand and a block below 600 steps."""
     values, repeats = [], []
     for i, (rate, held, length) in enumerate(zip(current, first, period)):
@@ -37,7 +46,7 @@ def _clocks(start: list, current: list, first: list, period: list, modulus: list
         repeats.append(min(held, count))
         if held < count:
             k = (count - held - 1) // length + 1
-            values += draw(i, k).ravel().tolist()
+            values += draw(i, k)
             repeats += [length] * (k - 1) + [count - held - (k - 1) * length]
     rates = np.repeat(np.array(values, dtype=np.int32).reshape(-1, len(start[0])), repeats, axis=0)
     rates = rates.reshape(len(start), count, -1)
@@ -70,7 +79,19 @@ def smallest_prime_at_least(n: int) -> int:
     return p
 
 
-class MdmcaStrategy:
+class _ChunkedStream:
+    """A node's stream of draws from [0, bound), read CHUNK values at a time."""
+
+    def _take(self, k: int) -> list:
+        """The stream's next k values."""
+        values = self._values
+        if len(values) < k:
+            values += self._rng.integers(self._bound, size=CHUNK * -((len(values) - k) // CHUNK)).tolist()
+        self._values = values[k:]
+        return values[:k]
+
+
+class MdmcaStrategy(_ChunkedStream):
     """Dual modular clocks over the prime / non-prime split.
 
     Both clocks run modulo the available-set size m. Hop rates are redrawn
@@ -91,9 +112,8 @@ class MdmcaStrategy:
         self.mp, self.np_ = (tuple(s) for s in partition_prime(self.cu))
         self.m = len(self.cu)
         self.lists, self.modulus = (self.mp, self.np_), self.m  # channel_table's view of the clocks
-        self._rng = rng
-        self.j1 = int(rng.integers(self.m))
-        self.j2 = int(rng.integers(self.m))
+        self._rng, self._bound, self._values = rng, self.m, []
+        self.j1, self.j2 = self._take(2)
         self.r1 = 0
         self.r2 = 0
         self.t = 0
@@ -102,8 +122,7 @@ class MdmcaStrategy:
     def select(self, half: int) -> int:
         if half == 1:
             if self.t == 0:
-                self.r1 = int(self._rng.integers(self.m))
-                self.r2 = int(self._rng.integers(self.m))
+                self.r1, self.r2 = self._take(2)
             self.j1 = (self.j1 + self.r1) % self.m
             c1 = self.mp[self.j1 % len(self.mp)] if self.mp else self.cu[self.j1]
             self._c1 = c1
@@ -120,7 +139,10 @@ class MdmcaStrategy:
 
     @staticmethod
     def block(nodes: list[MdmcaStrategy], table: np.ndarray, slots: int) -> np.ndarray:
-        """Every node's channels of the next `slots` slots, both halves of each."""
+        """Every node's channels of the next `slots` slots, both halves of each.
+
+        Nodes with both lists take all their epochs' rate pairs in one `_take`,
+        the values `select` would take (module docstring); the others step `select`."""
         out = np.empty((len(nodes), 2 * slots), np.uint16)
         rows = [i for i, s in enumerate(nodes) if s.mp and s.np_]
         for i, s in enumerate(nodes):
@@ -133,7 +155,7 @@ class MdmcaStrategy:
             clocks, last = _clocks(
                 [(s.j1, s.j2) for s in clocked], [(s.r1, s.r2) for s in clocked],
                 [(-s.t) % s.m for s in clocked], [s.m for s in clocked], [s.m for s in clocked], slots,
-                lambda i, k: clocked[i]._rng.integers(clocked[i].m, size=(k, 2)),
+                lambda i, k: clocked[i]._take(2 * k),
             )
             out[rows] = _lookup(table[rows], clocks)
             for s, (r1, r2), (j1, j2) in zip(clocked, last, clocks[:, -1].tolist()):
@@ -162,7 +184,7 @@ class MrcsStrategy:
         return _lookup(table, np.array([s._rng.integers(s.modulus, size=2 * slots) for s in nodes])[..., None])
 
 
-class MmcaStrategy:
+class MmcaStrategy(_ChunkedStream):
     """Single modular clock with prime modulus p >= m.
 
     The clock advances once per half-slot; indices past the end of the
@@ -179,25 +201,28 @@ class MmcaStrategy:
         self.m = len(self.cu)
         self.p = smallest_prime_at_least(self.m)
         self.lists, self.modulus = (self.cu,), self.p
-        self._rng = rng
-        self.j = int(rng.integers(self.p))
+        self._rng, self._bound, self._values = rng, self.p, []
+        self.j, = self._take(1)
         self.r = 0
         self._steps = 0
 
     def select(self, half: int) -> int:
         if self._steps == 0:
-            self.r = int(self._rng.integers(self.p))
+            self.r, = self._take(1)
         self._steps = (self._steps + 1) % (2 * self.p)
         self.j = (self.j + self.r) % self.p
         return self.cu[self.j if self.j < self.m else self.j % self.m]
 
     @staticmethod
     def block(nodes: list[MmcaStrategy], table: np.ndarray, slots: int) -> np.ndarray:
-        """Every node's channels of the next `slots` slots, both halves of each."""
+        """Every node's channels of the next `slots` slots, both halves of each.
+
+        A node takes all its epochs' rates in one `_take`, the values `select`
+        would take (module docstring)."""
         clocks, last = _clocks(
             [(s.j,) for s in nodes], [(s.r,) for s in nodes], [(-s._steps) % (2 * s.p) for s in nodes],
             [2 * s.p for s in nodes], [s.p for s in nodes], 2 * slots,
-            lambda i, k: nodes[i]._rng.integers(nodes[i].p, size=k),
+            lambda i, k: nodes[i]._take(k),
         )
         for s, (r,), (j,) in zip(nodes, last, clocks[:, -1].tolist()):
             s.r, s.j, s._steps = r, j, (s._steps + 2 * slots) % (2 * s.p)

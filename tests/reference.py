@@ -26,6 +26,15 @@ i<j and builds an n x n adjacency only for attempts with no isolated node;
 gets the full (n, n) distance matrix from `unit_disk_adjacency`, and batches
 are sized in n^2 cells by `FIRST_BATCH`, `MAX_BATCH` and `MAX_CELLS`.
 
+Modular clocks: `crhop.protocols` serves mdmca's and mmca's stream values
+from a list refilled CHUNK values at a time; `clock_reads` reads a node's
+stream as it was read before, one value per `integers(bound)` in `select`
+and one `integers(bound, size=k)` per block, and returns the values.
+
+Schedules: `crhop.engine._schedule` derives a block's schedule in numpy;
+`schedule` builds the same arrays in a plain loop over half-slots, channels
+and nodes.
+
 Seeding: `crhop.seeding.labeled_seeds` derives every labeled stream's seed in
 one array pass; `labeled_rng` builds one label's stream through numpy's own
 SeedSequence, the definition that pass reproduces.
@@ -40,6 +49,7 @@ import numpy as np
 from crhop.activity import OFF, ON
 from crhop.errors import GenerationFailureError, InvalidParameterError
 from crhop.handshake import D_ACK, D_REQ, D_RESP
+from crhop.spectrum import is_prime
 from crhop.topology import Topology
 
 
@@ -193,3 +203,63 @@ def generate_topology(node_count, area, radio_range, rng, max_attempts):
             return Topology.__new__(Topology)._index(points[hits[0]], adjacency[hits[0]])
         drawn += size
     raise GenerationFailureError(f"no connected placement within {max_attempts} attempts")
+
+
+def clock_reads(kind: str, cu, rng, steps) -> list[int]:
+    """The values an mdmca or mmca (memca) node on channel set `cu` reads from
+    `rng` over `steps` of (as_block, slots): its first clocks, then its rates
+    at every epoch it enters, an mdmca pair every m slots or an mmca rate every
+    2p half-slots. `select` reads one integers(bound) per value; a block reads
+    one integers(bound, size=(k, values per epoch)) for its k epochs, except
+    for an mdmca node with an empty prime or non-prime list, which steps
+    `select` in its blocks too."""
+    cu = sorted(cu)
+    m = len(cu)
+    if kind == "mdmca":
+        bound, per, period, units = m, 2, m, 1  # a pair per epoch of m slots
+        batched = any(is_prime(c) for c in cu) and not all(is_prime(c) for c in cu)
+    else:
+        bound = next(p for p in range(max(m, 2), 2 * m + 3) if is_prime(p))
+        per, period, units, batched = 1, 2 * bound, 2, True  # a rate per epoch of 2p half-slots
+    values = [int(rng.integers(bound)) for _ in range(per)]
+    clock = 0  # steps into the current epoch
+    for as_block, slots in steps:
+        count = units * slots
+        entered = sum((clock + u) % period == 0 for u in range(count))
+        if as_block and batched:
+            if entered:
+                values += rng.integers(bound, size=(entered, per)).ravel().tolist()
+        else:
+            values += [int(rng.integers(bound)) for _ in range(entered * per)]
+        clock = (clock + count) % period
+    return values
+
+
+def schedule(hops: np.ndarray, busy: np.ndarray, adjacency: np.ndarray, trace: bool) -> tuple:
+    """(busy, lone, at, channel, tuned) of one block, as `crhop.engine._schedule`
+    derives them from hops (one row per node, then the no-node row) and busy
+    bits (one row per channel, row 0 unused): a node on an idle channel with a
+    neighbour on it is heard, as is every node when tracing, and any other
+    node on an idle channel is lone. Each (half-slot, channel) with a heard
+    node is one group, in that order, with the id mask of its heard nodes.
+    Half-slots and channels come in their smallest dtypes, masks as uint64 up
+    to 64 nodes and as Python ints above; every array is read-only."""
+    n, width = len(hops) - 1, hops.shape[1]
+    lone = np.zeros((n, width), dtype=bool)
+    at, channels, masks = [], [], []
+    for k in range(width):
+        for c in range(len(busy)):
+            tuned = [i for i in range(n) if hops[i, k] == c]
+            idle = not busy[c, k]
+            heard = [i for i in tuned if trace or idle and any(adjacency[i, j] for j in tuned)]
+            for i in tuned:
+                lone[i, k] = idle and i not in heard
+            if heard:
+                at.append(k)
+                channels.append(c)
+                masks.append(sum(1 << i for i in heard))
+    out = (busy, lone, np.array(at, dtype=np.min_scalar_type(width - 1)), np.array(channels, dtype=hops.dtype),
+           np.array(masks, dtype=np.uint64 if n <= 64 else object))
+    for array in out:
+        array.setflags(write=False)
+    return out

@@ -4,6 +4,9 @@ import math
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
+import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,3 +139,35 @@ def test_every_cell_of_an_environment_key_on_one_environment_equals_its_standalo
     environment = build_environment(scenario, seed)
     for cell, trace in order:
         assert run(cell, seed, trace=trace, environment=environment) == run(cell, seed, trace=trace)
+
+
+@st.composite
+def blocks(draw, nodes):
+    """(hops, busy, adjacency) of a random block: every node's channels, then
+    the no-node row on channel 0; every channel's busy bits, row 0 unused; and
+    a symmetric adjacency without self-links."""
+    n, channels, width = draw(nodes), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hops = np.zeros((n + 1, width), np.min_scalar_type(channels))
+    hops[:-1] = rng.integers(1, channels + 1, size=(n, width))
+    busy = np.zeros((channels + 1, width), dtype=bool)
+    busy[1:] = rng.random((channels, width)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    links = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])), 1)
+    return hops, busy, links | links.T
+
+
+@pytest.mark.parametrize("nodes", [st.integers(1, 64), st.integers(65, 70)], ids=["uint64-masks", "int-masks"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), trace=st.booleans())
+def test_schedule_equals_a_loop_over_half_slots_and_channels(nodes, data, trace):
+    hops, busy, adjacency = data.draw(blocks(nodes))
+    n = len(adjacency)
+    neighbours = [np.flatnonzero(row).tolist() for row in adjacency]
+    # each node's r-th neighbour by id, or n past its degree, as Topology.peers
+    peers = np.array([[ids[r] if r < len(ids) else n for ids in neighbours]
+                      for r in range(max(map(len, neighbours)))]).reshape(-1, n)
+    got = engine._schedule(hops, busy.copy(), peers, trace)
+    want = reference.schedule(hops, busy.copy(), adjacency, trace)
+    for name, a, b in zip(("busy", "lone", "at", "channel", "tuned"), got, want):
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False), name
+        assert a.tolist() == b.tolist(), name

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crhop
 from crhop.activity import RATE_TABLE
 from crhop.errors import InvalidParameterError
 from crhop.experiment import (
@@ -99,6 +104,14 @@ class TestSweep:
         run_sweep(config, str(tmp_path / "parallel"))
         for name in ("data.csv", "summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
+
+    def test_importing_crhop_leaves_the_process_pool_unimported(self):
+        # Only a sweep with more than one worker imports concurrent.futures.
+        src = str(Path(crhop.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = "import sys, crhop; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_grouped_sweep_keeps_cell_order_serially_and_in_parallel(self, tmp_path, monkeypatch):
         # nodes 2 and 3 connect within the attempt budget over a square km at

@@ -7,13 +7,17 @@ fake random stream. The full exhaustive sweep lives in the acceptance suite;
 here a smaller slice keeps the module test quick.
 """
 
+import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crhop import protocols
 from crhop.errors import InvalidParameterError, NoChannelError
 from crhop.protocols import (
     MdmcaStrategy,
@@ -26,21 +30,36 @@ from crhop.protocols import (
 from crhop.spectrum import is_prime
 
 
+@functools.lru_cache(maxsize=None)
+def scripted(head: tuple, cycle: tuple, at: int, size: int) -> tuple:
+    """(values, lowest, highest) of `size` draws: `head`, then `cycle` from index
+    `at` on, as the read-only array integers(size=) returns."""
+    values = head + (cycle * ((at + size) // max(len(cycle), 1) + 1))[at:at + size - len(head)]
+    array = np.array(values, dtype=np.int64)
+    array.setflags(write=False)
+    return array, min(values), max(values)
+
+
 class FakeRng:
-    """integers() stub feeding a fixed draw sequence (cycled at the end)."""
+    """integers() stub feeding a fixed draw sequence (cycled at the end): one
+    value, or with size= the next `size` values as an array."""
 
     def __init__(self, head, cycle=()):
         self._head = list(head)
-        self._cycle = itertools.cycle(cycle) if cycle else None
-        self.draws = 0
+        self._cycle = tuple(cycle)
+        self._at = 0  # the cycle's next index
 
-    def integers(self, upper):
-        self.draws += 1
-        value = self._head.pop(0) if self._head else next(self._cycle)
-        assert 0 <= value < upper
-        return value
-
-
+    def integers(self, upper, size=None):
+        n = 1 if size is None else size
+        head = tuple(self._head[:n])
+        del self._head[:n]
+        if len(head) < n and not self._cycle:
+            raise IndexError("the scripted draws ran out")
+        values, low, high = scripted(head, self._cycle, self._at, n)
+        if self._cycle:
+            self._at = (self._at + n - len(head)) % len(self._cycle)
+        assert 0 <= low and high < upper
+        return int(values[0]) if size is None else values
 def dual_clock_reference_trace(cu, j1, j2, r1, r2, slots):
     """Literal transcription of the dual-clock hop procedure.
 
@@ -107,13 +126,19 @@ class TestMdmca:
                     assert got == dual_clock_reference_trace(cu, j1, j2, r1, r2, 3)
 
     def test_rates_redraw_every_m_slots(self):
-        rng = FakeRng([0, 0], cycle=[1, 2])
-        strat = MdmcaStrategy(range(1, 5), rng)  # m = 4
-        assert rng.draws == 2
-        for slot in range(1, 10):
-            strat.select(1)
-            strat.select(2)
-            assert rng.draws == 2 + 2 * (1 + (slot - 1) // 4)
+        # A cycle of distinct rate pairs: the pair in force at each slot names
+        # the epoch it was taken for, and a new one arrives every m slots.
+        pairs = [(1, 2), (3, 1), (2, 3)]
+        for as_block in (False, True):
+            strat = MdmcaStrategy(range(1, 5), FakeRng([0, 0], cycle=[r for pair in pairs for r in pair]))  # m = 4
+            table = channel_table([strat])
+            for slot in range(1, 14):
+                if as_block:
+                    MdmcaStrategy.block([strat], table, 1)
+                else:
+                    strat.select(1)
+                    strat.select(2)
+                assert (strat.r1, strat.r2) == pairs[(slot - 1) // 4 % len(pairs)], slot
 
     def test_halves_use_disjoint_ranges(self):
         strat = MdmcaStrategy(range(1, 11), np.random.default_rng(7))
@@ -179,12 +204,18 @@ class TestMmca:
         assert all(strat.select(1 + i % 2) in strat.cu for i in range(500))
 
     def test_rate_redraw_every_two_p_half_slots(self):
-        rng = FakeRng([0], cycle=[2])
-        strat = MmcaStrategy(range(1, 6), rng)  # p = 5
-        assert rng.draws == 1
-        for step in range(1, 31):
+        # A cycle of distinct rates: the rate in force at each half-slot names
+        # the epoch it was taken for, and a new one arrives every 2p half-slots.
+        rates = [2, 4, 1, 3]
+        strat = MmcaStrategy(range(1, 6), FakeRng([0], cycle=rates))  # p = 5
+        for step in range(1, 41):
             strat.select(1 + (step - 1) % 2)
-            assert rng.draws == 1 + 1 + (step - 1) // 10
+            assert strat.r == rates[(step - 1) // 10 % len(rates)], step
+        strat = MmcaStrategy(range(1, 6), FakeRng([0], cycle=rates))
+        table = channel_table([strat])
+        for slot in range(1, 21):  # a one-slot block steps both its halves
+            MmcaStrategy.block([strat], table, 1)
+            assert strat.r == rates[(2 * slot - 1) // 10 % len(rates)], slot
 
     def test_two_node_overlap_probability(self):
         # Analytic oracle, p = 5, rates uniform on [0, p): within one rate
@@ -260,7 +291,9 @@ def population_hops(nodes, table, slots):
 
 class TestHopBlocks:
     """A population's hop block must equal repeated select() on every node and
-    consume each node's stream alike."""
+    consume each node's stream alike, whatever protocols.CHUNK is."""
+
+    CHUNKS = (1, 2, 3, protocols.CHUNK)
 
     CHANNEL_SETS = (
         (2, 3, 5, 7),  # primes only: mdmca's non-prime list is empty
@@ -276,7 +309,10 @@ class TestHopBlocks:
     @staticmethod
     def check(kind, sets, seed, steps):
         """Run `steps` of (as_block, slots) on a population of one node per
-        channel set, against a copy stepped one select at a time."""
+        channel set, against a copy stepped one select at a time. A modular
+        clock's stream must sit at CHUNK * ceil(t / CHUNK) after t values
+        taken, holding the rest of that read, and at CHUNK = 1 exactly where
+        one read per block leaves it."""
         refs = [make_strategy(kind, cu, np.random.default_rng([seed, i])) for i, cu in enumerate(sets)]
         nodes = [make_strategy(kind, cu, np.random.default_rng([seed, i])) for i, cu in enumerate(sets)]
         table = channel_table(nodes)
@@ -288,6 +324,15 @@ class TestHopBlocks:
                 assert got.tolist() == want
             else:
                 assert [select_reference(node, slots) for node in nodes] == want
+        for i, (node, cu) in enumerate(zip(nodes, sets) if kind != "mrcs" else ()):
+            per_block = np.random.default_rng([seed, i])
+            taken = reference.clock_reads(kind, cu, per_block, steps)
+            chunked = np.random.default_rng([seed, i])
+            read = chunked.integers(node._bound, size=-(-len(taken) // protocols.CHUNK) * protocols.CHUNK).tolist()
+            assert (read[:len(taken)], read[len(taken):]) == (taken, node._values)
+            assert node._rng.bit_generator.state == chunked.bit_generator.state
+            if protocols.CHUNK == 1:
+                assert node._rng.bit_generator.state == per_block.bit_generator.state
         # Same stream positions: the next draws agree, and so does the next
         # half-slot pair taken one select at a time.
         for node, ref in zip(nodes, refs):
@@ -297,8 +342,9 @@ class TestHopBlocks:
     @pytest.mark.parametrize("kind", ["mdmca", "mrcs", "mmca", "memca"])
     @pytest.mark.parametrize("cu", CHANNEL_SETS)
     def test_fixed_sets_match_select(self, kind, cu):
-        for seed in range(5):
-            self.check(kind, [cu], seed, [(True, slots) for slots in (1, 2, 7, 32, 64, 128)])
+        for seed, chunk in enumerate(self.CHUNKS + (protocols.CHUNK,)):
+            with mock.patch.object(protocols, "CHUNK", chunk):
+                self.check(kind, [cu], seed, [(True, slots) for slots in (1, 2, 7, 32, 64, 128)])
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -306,22 +352,28 @@ class TestHopBlocks:
         cu=st.sets(st.integers(min_value=1, max_value=24), min_size=1, max_size=24),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         blocks=st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=4),
+        chunk=st.sampled_from(CHUNKS),
     )
-    def test_random_sets_match_select(self, kind, cu, seed, blocks):
-        self.check(kind, [sorted(cu)], seed, [(True, slots) for slots in blocks])
+    def test_random_sets_match_select(self, kind, cu, seed, blocks, chunk):
+        with mock.patch.object(protocols, "CHUNK", chunk):
+            self.check(kind, [sorted(cu)], seed, [(True, slots) for slots in blocks])
 
-    def test_blocks_interleave_with_select(self):
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_blocks_interleave_with_select(self, chunk):
         for kind in ("mdmca", "mrcs", "mmca"):
             steps = [(True, 3), (False, 3), (True, 10), (False, 10), (True, 1), (False, 1), (True, 25), (False, 25)]
-            self.check(kind, [range(1, 11)], 9, steps)
+            with mock.patch.object(protocols, "CHUNK", chunk):
+                self.check(kind, [range(1, 11)], 9, steps)
 
     @pytest.mark.parametrize("kind", ["mdmca", "mrcs", "mmca"])
-    def test_every_fixed_set_in_one_population(self, kind):
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_every_fixed_set_in_one_population(self, kind, chunk):
         # mdmca's select-only rows (one list empty) sit between array rows,
         # and mmca rows of p > m share a table with wider ones.
         for seed in range(3):
             steps = [(True, 1), (False, 2), (True, 40), (True, 64), (False, 5), (True, 3)]
-            self.check(kind, self.CHANNEL_SETS, seed, steps)
+            with mock.patch.object(protocols, "CHUNK", chunk):
+                self.check(kind, self.CHANNEL_SETS, seed, steps)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -335,9 +387,11 @@ class TestHopBlocks:
         ),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         steps=st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=80)), min_size=1, max_size=5),
+        chunk=st.sampled_from(CHUNKS),
     )
-    def test_random_populations_match_select(self, kind, sets, seed, steps):
-        self.check(kind, sets, seed, steps)
+    def test_random_populations_match_select(self, kind, sets, seed, steps, chunk):
+        with mock.patch.object(protocols, "CHUNK", chunk):
+            self.check(kind, sets, seed, steps)
 
     def test_table_cycles_each_list_to_the_widest_modulus(self):
         sets = ((2, 3, 4), (1, 4, 6), tuple(range(1, 8)))
