@@ -87,8 +87,9 @@ class _ChunkedStream:
         values = self._values
         if len(values) < k:
             values += self._rng.integers(self._bound, size=CHUNK * -((len(values) - k) // CHUNK)).tolist()
-        self._values = values[k:]
-        return values[:k]
+        taken = values[:k]
+        del values[:k]
+        return taken
 
 
 class MdmcaStrategy(_ChunkedStream):

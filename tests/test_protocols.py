@@ -32,9 +32,11 @@ from crhop.spectrum import is_prime
 
 @functools.lru_cache(maxsize=None)
 def scripted(head: tuple, cycle: tuple, at: int, size: int) -> tuple:
-    """(values, lowest, highest) of `size` draws: `head`, then `cycle` from index
-    `at` on, as the read-only array integers(size=) returns."""
-    values = head + (cycle * ((at + size) // max(len(cycle), 1) + 1))[at:at + size - len(head)]
+    """(values, lowest, highest) of draws at..at+size-1 of `head` followed by
+    `cycle` repeated, as the read-only array integers(size=) returns."""
+    skip = max(at - len(head), 0) % max(len(cycle), 1)  # where the cycle starts, past head
+    rest = size - len(head[at:at + size])
+    values = head[at:at + size] + (cycle * ((skip + rest) // max(len(cycle), 1) + 1))[skip:skip + rest]
     array = np.array(values, dtype=np.int64)
     array.setflags(write=False)
     return array, min(values), max(values)
@@ -45,21 +47,19 @@ class FakeRng:
     value, or with size= the next `size` values as an array."""
 
     def __init__(self, head, cycle=()):
-        self._head = list(head)
-        self._cycle = tuple(cycle)
-        self._at = 0  # the cycle's next index
+        self._head, self._cycle = tuple(head), tuple(cycle)
+        self._at = 0  # draws served so far
 
     def integers(self, upper, size=None):
         n = 1 if size is None else size
-        head = tuple(self._head[:n])
-        del self._head[:n]
-        if len(head) < n and not self._cycle:
+        if self._at + n > len(self._head) and not self._cycle:
             raise IndexError("the scripted draws ran out")
-        values, low, high = scripted(head, self._cycle, self._at, n)
-        if self._cycle:
-            self._at = (self._at + n - len(head)) % len(self._cycle)
+        values, low, high = scripted(self._head, self._cycle, self._at, n)
+        self._at += n
         assert 0 <= low and high < upper
         return int(values[0]) if size is None else values
+
+
 def dual_clock_reference_trace(cu, j1, j2, r1, r2, slots):
     """Literal transcription of the dual-clock hop procedure.
 
@@ -358,19 +358,17 @@ class TestHopBlocks:
         with mock.patch.object(protocols, "CHUNK", chunk):
             self.check(kind, [sorted(cu)], seed, [(True, slots) for slots in blocks])
 
-    @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_blocks_interleave_with_select(self, chunk):
-        for kind in ("mdmca", "mrcs", "mmca"):
+    def test_blocks_interleave_with_select(self):
+        for kind, chunk in itertools.product(("mdmca", "mrcs", "mmca"), self.CHUNKS):
             steps = [(True, 3), (False, 3), (True, 10), (False, 10), (True, 1), (False, 1), (True, 25), (False, 25)]
             with mock.patch.object(protocols, "CHUNK", chunk):
                 self.check(kind, [range(1, 11)], 9, steps)
 
     @pytest.mark.parametrize("kind", ["mdmca", "mrcs", "mmca"])
-    @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_every_fixed_set_in_one_population(self, kind, chunk):
+    def test_every_fixed_set_in_one_population(self, kind):
         # mdmca's select-only rows (one list empty) sit between array rows,
         # and mmca rows of p > m share a table with wider ones.
-        for seed in range(3):
+        for seed, chunk in itertools.product(range(3), self.CHUNKS):
             steps = [(True, 1), (False, 2), (True, 40), (True, 64), (False, 5), (True, 3)]
             with mock.patch.object(protocols, "CHUNK", chunk):
                 self.check(kind, self.CHANNEL_SETS, seed, steps)
