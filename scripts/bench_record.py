@@ -15,6 +15,10 @@ the other, this runs
     shows whether both checkouts wrote the same bytes;
   - the Tier-1 suite, timing its wall seconds and keeping its summary line.
 
+The full grid and Tier-1 also record their CPU seconds, the user + sys time
+of the child from getrusage: on a shared host their wall time also counts
+the time the child waits for a core.
+
 Pairs alternate which checkout runs first; ten pairs is the fewest that can
 show a gain as better in nine of ten. The file holds every run and, per
 checkout, the median of each figure over the pairs, the commit and the line
@@ -30,6 +34,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -52,37 +57,43 @@ def child_env(checkout: Path) -> dict:
     return env
 
 
-def timed(argv: list[str], checkout: Path, ok: tuple[int, ...] = (0,)) -> tuple[float, str]:
-    """Wall seconds and standard output of one child run from the checkout root;
-    any exit code outside `ok` stops the record."""
-    started = time.perf_counter()
+def cpu_seconds() -> float:
+    """User + sys CPU seconds of every child this process has waited for."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def timed(argv: list[str], checkout: Path, ok: tuple[int, ...] = (0,)) -> tuple[float, float, str]:
+    """Wall seconds, CPU seconds and standard output of one child run from the
+    checkout root; any exit code outside `ok` stops the record."""
+    started, cpu = time.perf_counter(), cpu_seconds()
     done = subprocess.run([sys.executable, *argv], cwd=checkout, env=child_env(checkout),
                           capture_output=True, text=True)
-    seconds = time.perf_counter() - started
+    seconds, cpu = time.perf_counter() - started, cpu_seconds() - cpu
     if done.returncode not in ok:
         raise SystemExit(f"{' '.join(argv)} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    return seconds, done.stdout
+    return seconds, cpu, done.stdout
 
 
 def workload(checkout: Path, name: str) -> dict:
     argv = ["perfbench/run.py", "--workload", name, "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
-    _, out = timed(argv, checkout)
+    _, _, out = timed(argv, checkout)
     return json.loads(out.strip().splitlines()[-1])
 
 
 def full_grid(checkout: Path) -> dict:
     with tempfile.TemporaryDirectory() as out:
-        seconds, _ = timed(["scripts/run_full_grid.py", "--runs", str(GRID_RUNS), "--out", out], checkout)
+        seconds, cpu, _ = timed(["scripts/run_full_grid.py", "--runs", str(GRID_RUNS), "--out", out], checkout)
         digest = hashlib.sha256()
         for path in sorted(Path(out).rglob("*")):
             if path.name in ("data.csv", "summary.json"):
                 digest.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
-    return {"seconds": seconds, "outputs_sha256": digest.hexdigest()}
+    return {"seconds": seconds, "cpu_seconds": cpu, "outputs_sha256": digest.hexdigest()}
 
 
 def tier1(checkout: Path) -> dict:
-    seconds, out = timed(TIER1, checkout, ok=(0, 1))  # pytest exits 1 when a test fails; the summary says so
-    return {"seconds": seconds, "summary": out.strip().splitlines()[-1]}
+    seconds, cpu, out = timed(TIER1, checkout, ok=(0, 1))  # pytest exits 1 when a test fails; the summary says so
+    return {"seconds": seconds, "cpu_seconds": cpu, "summary": out.strip().splitlines()[-1]}
 
 
 def measure_pair(sides: dict, order: tuple) -> dict:
@@ -109,8 +120,10 @@ def medians(runs: list[dict]) -> dict:
                          failed=sum(x["failed"] for x in results),
                          correct=all(x["correct"] for x in results))
     out["full_grid_seconds"] = statistics.median(r["full_grid"]["seconds"] for r in runs)
+    out["full_grid_cpu_seconds"] = statistics.median(r["full_grid"]["cpu_seconds"] for r in runs)
     out["full_grid_outputs_sha256"] = sorted({r["full_grid"]["outputs_sha256"] for r in runs})
     out["tier1_seconds"] = statistics.median(r["tier1"]["seconds"] for r in runs)
+    out["tier1_cpu_seconds"] = statistics.median(r["tier1"]["cpu_seconds"] for r in runs)
     out["tier1_summary"] = sorted({r["tier1"]["summary"] for r in runs})
     return out
 

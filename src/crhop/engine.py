@@ -101,6 +101,10 @@ MAX_BLOCK_SLOTS = 256
 # processes and busy bits grow with it (the paper's pools are 10 and 20).
 MAX_CHANNELS = 4096
 
+# Largest population a scenario may ask for: the topology's pair tables take
+# about 48 bytes per node pair, about 0.4 GB at 4,096 nodes.
+MAX_NODES = 4096
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -132,8 +136,8 @@ class Scenario:
     positions: tuple[tuple[float, float], ...] | None = None
 
     def validate(self) -> None:
-        if self.nodes < 1:
-            raise InvalidParameterError(f"nodes must be >= 1, got {self.nodes}")
+        if not 1 <= self.nodes <= MAX_NODES:
+            raise InvalidParameterError(f"nodes must be between 1 and {MAX_NODES}, got {self.nodes}")
         if not 1 <= self.channels <= MAX_CHANNELS:
             raise InvalidParameterError(f"channels must be between 1 and {MAX_CHANNELS}, got {self.channels}")
         if self.mode not in ("sym", "asym"):

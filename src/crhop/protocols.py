@@ -9,18 +9,9 @@ once per half-slot over the full available set.
 A strategy class's `block(nodes, table, slots)` returns every node's channels
 for the next `slots` whole slots, one row per node in half-slot order, and
 leaves each node as `slots` rounds of `select(1)`, `select(2)` would: same
-channels, same stream consumption. A modular clock is affine within a rate
-epoch, so a population's block is one np.repeat of rates per epoch, one cumsum
-and one gather through its `channel_table`. `select` stays as the reference,
-and serves mdmca nodes with an empty prime or non-prime list.
-
-A modular clock redraws its rates once per epoch, a few values a block, and
-takes every value (its first clocks, `select`'s and `block`'s redraws) through
-`_take`, which serves them from a list refilled CHUNK values at a time. All
-come from `integers(bound)` at one bound, and `integers(bound, size=a)` then
-`size=b` gives what `size=a + b` does, so chunking changes no value, and after
-t values taken the stream sits at CHUNK * ceil(t / CHUNK) whichever path took
-them. mrcs takes a value every half-slot and reads each block in one draw.
+channels, same stream consumption. `select` stays as the reference. mdmca,
+mmca and memca share one `block`, `_ModularClock`'s; mrcs takes a value every
+half-slot and reads each block in one draw.
 """
 
 from __future__ import annotations
@@ -31,29 +22,6 @@ from .errors import InvalidParameterError, NoChannelError
 from .spectrum import is_prime, partition_prime
 
 CHUNK = 64  # values per stream read of a modular clock
-
-
-def _clocks(start: list, current: list, first: list, period: list, modulus: list, count: int, draw):
-    """(clocks, last): every node's clock values over its next `count` steps,
-    shape (nodes, count, clocks), and its rates at the last step. Node i's
-    clocks start at start[i] and step by its current rates for first[i] steps;
-    then draw(i, k) supplies k fresh rate tuples as one flat list, each held
-    for period[i] steps. int32 holds every sum: moduli stay below a few
-    thousand and a block below 600 steps."""
-    values, repeats = [], []
-    for i, (rate, held, length) in enumerate(zip(current, first, period)):
-        values += rate
-        repeats.append(min(held, count))
-        if held < count:
-            k = (count - held - 1) // length + 1
-            values += draw(i, k)
-            repeats += [length] * (k - 1) + [count - held - (k - 1) * length]
-    rates = np.repeat(np.array(values, dtype=np.int32).reshape(-1, len(start[0])), repeats, axis=0)
-    rates = rates.reshape(len(start), count, -1)
-    last = rates[:, -1].tolist()
-    rates[:, 0] += start
-    clocks = np.cumsum(rates, axis=1, dtype=np.int32)
-    return np.remainder(clocks, np.array(modulus, dtype=np.int32)[:, None, None], out=clocks), last
 
 
 def channel_table(nodes: list) -> np.ndarray:
@@ -79,8 +47,43 @@ def smallest_prime_at_least(n: int) -> int:
     return p
 
 
-class _ChunkedStream:
-    """A node's stream of draws from [0, bound), read CHUNK values at a time."""
+def _available(channels) -> tuple:
+    """The available set, sorted; an empty one is refused."""
+    cu = tuple(sorted(channels))
+    if not cu:
+        raise NoChannelError("empty available channel set")
+    return cu
+
+
+class _ModularClock:
+    """One modular clock per channel list, `k = len(lists)` in all, each
+    stepping by its rate modulo `modulus` and read through its list. Every
+    clock takes fresh rates from [0, modulus) every `period` steps; `j` and `r`
+    hold one clock and one rate per list, and `steps` counts the steps into
+    the current rate epoch. A step moves all k clocks, one a half-slot in
+    turn, so `slots` slots are `2 * slots // k` steps.
+
+    A clock is affine within a rate epoch, so a population's block is one
+    np.repeat of rates per epoch, one cumsum and one gather through its
+    `channel_table`. A node with an empty list steps `select` instead. Only
+    an mdmca node with an empty prime or non-prime list has one: its halves
+    can then collide, and the nudge that resolves a collision moves clock 2
+    for every later slot, which no affine form holds.
+
+    Every value a node reads (its first clocks, `select`'s and `block`'s
+    rates) goes through `_take`, which serves it from a list refilled CHUNK
+    values at a time. All come from `integers(bound)` at one bound, and
+    `integers(bound, size=a)` then `size=b` gives what `size=a + b` does, so
+    chunking changes no value, and after t values taken the stream sits at
+    CHUNK * ceil(t / CHUNK) whichever path took them.
+    """
+
+    def __init__(self, cu: tuple, lists: tuple, modulus: int, period: int, rng: np.random.Generator):
+        self.cu, self.lists, self.modulus, self.period = cu, lists, modulus, period
+        self._rng, self._bound, self._values = rng, modulus, []
+        self.j = self._take(len(lists))
+        self.r = [0] * len(lists)
+        self.steps = 0
 
     def _take(self, k: int) -> list:
         """The stream's next k values."""
@@ -91,8 +94,44 @@ class _ChunkedStream:
         del values[:k]
         return taken
 
+    @staticmethod
+    def block(nodes: list[_ModularClock], table: np.ndarray, slots: int) -> np.ndarray:
+        """Every node's channels of the next `slots` slots, both halves of each.
 
-class MdmcaStrategy(_ChunkedStream):
+        A clocked node takes all its epochs' rates in one `_take`, the values
+        `select` would take. int32 holds every sum: moduli stay below a few
+        thousand and a block below 600 steps."""
+        k = len(nodes[0].lists)
+        count = 2 * slots // k
+        out = np.empty((len(nodes), 2 * slots), np.uint16)
+        rows, values, repeats = [], [], []
+        for i, s in enumerate(nodes):
+            if not all(s.lists):
+                out[i] = [s.select(half) for _ in range(slots) for half in (1, 2)]
+                continue
+            rows.append(i)
+            held = -s.steps % s.period  # steps left on the current rates
+            values += s.r
+            repeats.append(min(held, count))
+            if held < count:
+                epochs = (count - held - 1) // s.period + 1
+                values += s._take(k * epochs)
+                repeats += [s.period] * (epochs - 1) + [count - held - (epochs - 1) * s.period]
+        if rows:
+            clocked = [nodes[i] for i in rows]
+            rates = np.repeat(np.array(values, dtype=np.int32).reshape(-1, k), repeats, axis=0)
+            rates = rates.reshape(len(rows), count, k)
+            last = rates[:, -1].tolist()
+            rates[:, 0] += [s.j for s in clocked]
+            clocks = np.cumsum(rates, axis=1, dtype=np.int32)
+            np.remainder(clocks, np.array([s.modulus for s in clocked], dtype=np.int32)[:, None, None], out=clocks)
+            out[rows] = _lookup(table[rows], clocks)
+            for s, r, j in zip(clocked, last, clocks[:, -1].tolist()):
+                s.r, s.j, s.steps = r, j, (s.steps + count) % s.period
+        return out
+
+
+class MdmcaStrategy(_ModularClock):
     """Dual modular clocks over the prime / non-prime split.
 
     Both clocks run modulo the available-set size m. Hop rates are redrawn
@@ -107,61 +146,30 @@ class MdmcaStrategy(_ChunkedStream):
     kind = "mdmca"
 
     def __init__(self, channels, rng: np.random.Generator):
-        self.cu = tuple(sorted(channels))
-        if not self.cu:
-            raise NoChannelError("empty available channel set")
-        self.mp, self.np_ = (tuple(s) for s in partition_prime(self.cu))
-        self.m = len(self.cu)
-        self.lists, self.modulus = (self.mp, self.np_), self.m  # channel_table's view of the clocks
-        self._rng, self._bound, self._values = rng, self.m, []
-        self.j1, self.j2 = self._take(2)
-        self.r1 = 0
-        self.r2 = 0
-        self.t = 0
+        cu = _available(channels)
+        self.mp, self.np_ = (tuple(s) for s in partition_prime(cu))
+        self.m = len(cu)
+        super().__init__(cu, (self.mp, self.np_), self.m, self.m, rng)
         self._c1: int | None = None
 
     def select(self, half: int) -> int:
+        j, m = self.j, self.m
         if half == 1:
-            if self.t == 0:
-                self.r1, self.r2 = self._take(2)
-            self.j1 = (self.j1 + self.r1) % self.m
-            c1 = self.mp[self.j1 % len(self.mp)] if self.mp else self.cu[self.j1]
+            if self.steps == 0:
+                self.r = self._take(2)
+            j[0] = (j[0] + self.r[0]) % m
+            c1 = self.mp[j[0] % len(self.mp)] if self.mp else self.cu[j[0]]
             self._c1 = c1
             return c1
         if half != 2:
             raise InvalidParameterError(f"half must be 1 or 2, got {half}")
-        self.j2 = (self.j2 + self.r2) % self.m
-        c2 = self.np_[self.j2 % len(self.np_)] if self.np_ else self.cu[self.j2]
+        j[1] = (j[1] + self.r[1]) % m
+        c2 = self.np_[j[1] % len(self.np_)] if self.np_ else self.cu[j[1]]
         if c2 == self._c1:  # only possible when mp or np_ is empty
-            self.j2 = (self.j2 + 1) % self.m
-            c2 = self.cu[self.j2]
-        self.t = (self.t + 1) % self.m
+            j[1] = (j[1] + 1) % m
+            c2 = self.cu[j[1]]
+        self.steps = (self.steps + 1) % m
         return c2
-
-    @staticmethod
-    def block(nodes: list[MdmcaStrategy], table: np.ndarray, slots: int) -> np.ndarray:
-        """Every node's channels of the next `slots` slots, both halves of each.
-
-        Nodes with both lists take all their epochs' rate pairs in one `_take`,
-        the values `select` would take (module docstring); the others step `select`."""
-        out = np.empty((len(nodes), 2 * slots), np.uint16)
-        rows = [i for i, s in enumerate(nodes) if s.mp and s.np_]
-        for i, s in enumerate(nodes):
-            if not (s.mp and s.np_):
-                # Either list empty: the halves can collide, and the nudge that
-                # resolves a collision moves clock 2 for every later slot.
-                out[i] = [s.select(half) for _ in range(slots) for half in (1, 2)]
-        if rows:
-            clocked = [nodes[i] for i in rows]
-            clocks, last = _clocks(
-                [(s.j1, s.j2) for s in clocked], [(s.r1, s.r2) for s in clocked],
-                [(-s.t) % s.m for s in clocked], [s.m for s in clocked], [s.m for s in clocked], slots,
-                lambda i, k: clocked[i]._take(2 * k),
-            )
-            out[rows] = _lookup(table[rows], clocks)
-            for s, (r1, r2), (j1, j2) in zip(clocked, last, clocks[:, -1].tolist()):
-                s.r1, s.r2, s.j1, s.j2, s.t = r1, r2, j1, j2, (s.t + slots) % s.m
-        return out
 
 
 class MrcsStrategy:
@@ -170,9 +178,7 @@ class MrcsStrategy:
     kind = "mrcs"
 
     def __init__(self, channels, rng: np.random.Generator):
-        self.cu = tuple(sorted(channels))
-        if not self.cu:
-            raise NoChannelError("empty available channel set")
+        self.cu = _available(channels)
         self.lists, self.modulus = (self.cu,), len(self.cu)
         self._rng = rng
 
@@ -185,7 +191,7 @@ class MrcsStrategy:
         return _lookup(table, np.array([s._rng.integers(s.modulus, size=2 * slots) for s in nodes])[..., None])
 
 
-class MmcaStrategy(_ChunkedStream):
+class MmcaStrategy(_ModularClock):
     """Single modular clock with prime modulus p >= m.
 
     The clock advances once per half-slot; indices past the end of the
@@ -196,38 +202,17 @@ class MmcaStrategy(_ChunkedStream):
     kind = "mmca"
 
     def __init__(self, channels, rng: np.random.Generator):
-        self.cu = tuple(sorted(channels))
-        if not self.cu:
-            raise NoChannelError("empty available channel set")
-        self.m = len(self.cu)
+        cu = _available(channels)
+        self.m = len(cu)
         self.p = smallest_prime_at_least(self.m)
-        self.lists, self.modulus = (self.cu,), self.p
-        self._rng, self._bound, self._values = rng, self.p, []
-        self.j, = self._take(1)
-        self.r = 0
-        self._steps = 0
+        super().__init__(cu, (cu,), self.p, 2 * self.p, rng)
 
     def select(self, half: int) -> int:
-        if self._steps == 0:
-            self.r, = self._take(1)
-        self._steps = (self._steps + 1) % (2 * self.p)
-        self.j = (self.j + self.r) % self.p
-        return self.cu[self.j if self.j < self.m else self.j % self.m]
-
-    @staticmethod
-    def block(nodes: list[MmcaStrategy], table: np.ndarray, slots: int) -> np.ndarray:
-        """Every node's channels of the next `slots` slots, both halves of each.
-
-        A node takes all its epochs' rates in one `_take`, the values `select`
-        would take (module docstring)."""
-        clocks, last = _clocks(
-            [(s.j,) for s in nodes], [(s.r,) for s in nodes], [(-s._steps) % (2 * s.p) for s in nodes],
-            [2 * s.p for s in nodes], [s.p for s in nodes], 2 * slots,
-            lambda i, k: nodes[i]._take(k),
-        )
-        for s, (r,), (j,) in zip(nodes, last, clocks[:, -1].tolist()):
-            s.r, s.j, s._steps = r, j, (s._steps + 2 * slots) % (2 * s.p)
-        return _lookup(table, clocks)
+        if self.steps == 0:
+            self.r = self._take(1)
+        self.steps = (self.steps + 1) % self.period
+        j = self.j[0] = (self.j[0] + self.r[0]) % self.p
+        return self.cu[j if j < self.m else j % self.m]
 
 
 # memca shares mmca's clock; it differs only in its termination policy,

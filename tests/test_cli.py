@@ -12,7 +12,7 @@ import pytest
 from crhop import experiment
 from crhop.activity import RATE_TABLE
 from crhop.cli import _one_cell_config, build_parser, main
-from crhop.engine import MAX_CHANNELS, Scenario
+from crhop.engine import MAX_CHANNELS, MAX_NODES, Scenario
 from crhop.experiment import SweepConfig, cells, run_group, run_sweep
 
 
@@ -190,6 +190,17 @@ def test_channel_count_past_the_cap_exits_2(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(MAX_CHANNELS) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("nodes", [MAX_NODES + 1, 100_000])
+def test_node_count_past_the_cap_exits_2(nodes, tmp_path, capsys):
+    # Refused before any topology is built: past the cap the pair tables
+    # alone would take gigabytes.
+    argv = ["run", "--nodes", str(nodes), "--max-slots", "1", "--runs", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nodes") and str(MAX_NODES) in err
     assert not (tmp_path / "out").exists()
 
 

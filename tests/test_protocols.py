@@ -138,7 +138,7 @@ class TestMdmca:
                 else:
                     strat.select(1)
                     strat.select(2)
-                assert (strat.r1, strat.r2) == pairs[(slot - 1) // 4 % len(pairs)], slot
+                assert tuple(strat.r) == pairs[(slot - 1) // 4 % len(pairs)], slot
 
     def test_halves_use_disjoint_ranges(self):
         strat = MdmcaStrategy(range(1, 11), np.random.default_rng(7))
@@ -150,17 +150,25 @@ class TestMdmca:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        kind=st.sampled_from(["mdmca", "mmca"]),
         cu=st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=8),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_emits_within_cu_and_counters_in_range(self, cu, seed):
-        strat = MdmcaStrategy(cu, np.random.default_rng(seed))
-        for _ in range(3 * len(cu) + 5):
-            assert strat.select(1) in strat.cu
-            assert strat.select(2) in strat.cu
-            assert 0 <= strat.j1 < strat.m and 0 <= strat.j2 < strat.m
-            assert 0 <= strat.r1 < strat.m and 0 <= strat.r2 < strat.m
-            assert 0 <= strat.t < strat.m
+    def test_emits_within_cu_and_counters_in_range(self, kind, cu, seed):
+        # select and the shared block both write the clocks, rates and steps.
+        strat = make_strategy(kind, cu, np.random.default_rng(seed))
+        table, k = channel_table([strat]), len(strat.lists)
+        for step in range(3 * len(cu) + 5):
+            if step % 2:
+                hops = type(strat).block([strat], table, 1 + step % 7)
+                assert set(hops.ravel().tolist()) <= set(strat.cu)
+            else:
+                assert strat.select(1) in strat.cu
+                assert strat.select(2) in strat.cu
+            assert len(strat.j) == len(strat.r) == k
+            assert all(0 <= j < strat.modulus for j in strat.j)
+            assert all(0 <= r < strat.modulus for r in strat.r)
+            assert 0 <= strat.steps < strat.period
 
 
 class TestMrcs:
@@ -210,12 +218,12 @@ class TestMmca:
         strat = MmcaStrategy(range(1, 6), FakeRng([0], cycle=rates))  # p = 5
         for step in range(1, 41):
             strat.select(1 + (step - 1) % 2)
-            assert strat.r == rates[(step - 1) // 10 % len(rates)], step
+            assert strat.r[0] == rates[(step - 1) // 10 % len(rates)], step
         strat = MmcaStrategy(range(1, 6), FakeRng([0], cycle=rates))
         table = channel_table([strat])
         for slot in range(1, 21):  # a one-slot block steps both its halves
             MmcaStrategy.block([strat], table, 1)
-            assert strat.r == rates[(2 * slot - 1) // 10 % len(rates)], slot
+            assert strat.r[0] == rates[(2 * slot - 1) // 10 % len(rates)], slot
 
     def test_two_node_overlap_probability(self):
         # Analytic oracle, p = 5, rates uniform on [0, p): within one rate
