@@ -125,9 +125,11 @@ class _ModularClock:
             rates[:, 0] += [s.j for s in clocked]
             clocks = np.cumsum(rates, axis=1, dtype=np.int32)
             np.remainder(clocks, np.array([s.modulus for s in clocked], dtype=np.int32)[:, None, None], out=clocks)
-            out[rows] = _lookup(table[rows], clocks)
             for s, r, j in zip(clocked, last, clocks[:, -1].tolist()):
                 s.r, s.j, s.steps = r, j, (s.steps + count) % s.period
+            if len(rows) == len(nodes):  # no select rows: gather the whole table, with no row copies
+                return _lookup(table, clocks)
+            out[rows] = _lookup(table[rows], clocks)
         return out
 
 
