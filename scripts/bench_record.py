@@ -16,8 +16,7 @@ the other, this runs
   - the Tier-1 suite, timing its wall seconds and keeping its summary line.
 
 The full grid and Tier-1 also record their CPU seconds, the user + sys time
-of the child from getrusage: on a shared host their wall time also counts
-the time the child waits for a core.
+of the child from getrusage, which leaves out any time it waits for a core.
 
 Pairs alternate which checkout runs first; ten pairs is the fewest that can
 show a gain as better in nine of ten. The file holds every run and, per
