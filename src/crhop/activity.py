@@ -13,10 +13,10 @@ and the transient busy probability starting from idle at t = 0 is
     P_on(t) = U * (1 - exp(-(lambda_x + lambda_y) * t))
 
 with P_off(t) = 1 - P_on(t). Processes always start OFF, which makes
-P_on(0) = 0. A `ChannelProcess` samples one channel's trace from its own
-stream and is read forward only: it keeps just the intervals ahead of the last
-instant it served. `busy_bits` reads every channel's process at a block of
-half-slot instants in one pass.
+P_on(0) = 0. A `ChannelProcess` samples a whole pool's traces, each channel's
+from its own stream, and is read forward only: it keeps just the intervals
+ahead of the last instant it served. Its `busy_bits` reads every channel at a
+block of half-slot instants in one pass.
 
 The module ships a 20-channel table of reference rate pairs grouped into the
 activity classes zero / low / long / high, plus a "mix" profile that cycles
@@ -59,6 +59,11 @@ TABLE_UTILIZATION: tuple[float, ...] = (
 
 _CLASS_CYCLE = ("zero", "low", "long", "high")
 
+# Largest rate a channel may have, per second: the table's largest. It keeps
+# every holding-time scale at 1e-3 s or more, so no positive variate makes a zero
+# duration, and a channel's batch for a 256-slot block near 320,000 variates (2.6 MB).
+MAX_RATE = 1000.0
+
 
 @dataclass(frozen=True)
 class ActivityRates:
@@ -72,8 +77,8 @@ class ActivityRates:
     lambda_y: float
 
     def __post_init__(self):
-        if not (0 <= self.lambda_x < math.inf and 0 <= self.lambda_y < math.inf):
-            raise InvalidParameterError(f"rates must be finite and nonnegative, got {self}")
+        if not (0 <= self.lambda_x <= MAX_RATE and 0 <= self.lambda_y <= MAX_RATE):
+            raise InvalidParameterError(f"rates must be between 0 and {MAX_RATE:g}, got {self}")
         if self.lambda_x + self.lambda_y == 0:
             raise InvalidParameterError("degenerate rates: lambda_x + lambda_y must be > 0")
 
@@ -129,89 +134,83 @@ def make_profile(
 
 
 class ChannelProcess:
-    """Sampled ON/OFF trace of one channel, read forward and extended lazily.
+    """Sampled ON/OFF traces of a channel pool, read forward and extended lazily.
 
-    The process owns its random stream, so a trace depends only on the stream
-    it was created with. Intervals are half-open [start, end) and the first
-    interval is always OFF. Only the intervals not yet passed are kept:
+    Channel c's trace depends only on rngs[c], the stream it owns. Intervals
+    are half-open [start, end) and each channel's first is OFF. Only the
+    intervals not yet passed are kept, every channel's in one flat array:
     `busy_bits` drops those ending at or before the last instant it served,
     which no later call may precede.
     """
 
-    def __init__(self, rates: ActivityRates, rng: np.random.Generator):
-        self._rng = rng
-        # Holding-time scales (OFF, ON); a zero rate holds its state forever.
-        self._scales = tuple(1.0 / r if r else math.inf for r in (rates.lambda_y, rates.lambda_x))
-        # End times of the intervals not yet passed: interval _passed + i ends
-        # at _ends[i], and an even interval index is an OFF interval.
+    def __init__(self, rates: list[ActivityRates], rngs: list[np.random.Generator]):
+        self._rngs = list(rngs)
+        self.channels = len(rates)
+        # Holding-time scales (OFF, ON) per channel; a zero rate holds its state forever.
+        self._scales = np.array([[1.0 / x if x else math.inf for x in (r.lambda_y, r.lambda_x)] for r in rates])
+        # Ends of the intervals not yet passed, beside their channels: channel c's
+        # interval _passed[c] + i ends at its i-th entry, an even index is OFF, and
         # math.inf marks an absorbing state, as in the zero class from time 0.
-        self._ends = np.array([math.inf] if rates.lambda_y == 0.0 else [])
-        self._tail = float(self._ends[-1]) if len(self._ends) else 0.0  # last end drawn, or the start
-        self._passed = 0
+        absorbing = np.array([r.lambda_y == 0.0 for r in rates])
+        self._channel = np.flatnonzero(absorbing)
+        self._ends = np.full(len(self._channel), math.inf)
+        self._tail = np.where(absorbing, math.inf, 0.0)  # each channel's last end drawn, or its start
+        self._passed = np.zeros(self.channels, dtype=np.intp)
         self._last = 0  # last half-slot served; no call may start before it
 
+    def _draw(self, t: float) -> None:
+        """Append interval ends to every channel until one lies past t.
 
-def _draw_ends(processes: list[ChannelProcess], t: float) -> None:
-    """Append interval ends to every process until one lies past t.
+        Channels whose ends stop short of t draw one batch of standard
+        variates each, all of one size, each from its own stream. A stream
+        serves the same variates however they are batched, and
+        `exponential(scale)` is `scale * standard_exponential()`, so a row
+        times its intervals' alternating 1/rate scales, summed in order, gives
+        the ends one draw per interval would. A zero variate is redrawn: masked
+        to a 0.0 duration, which adds exactly nothing, it closes no interval.
+        That matches redrawing a non-positive duration only while x * scale
+        cannot underflow, which MAX_RATE ensures. A zero rate's infinite scale
+        makes its state absorbing.
+        """
+        while len(todo := np.flatnonzero(self._tail <= t)):
+            tails, scales = self._tail[todo], self._scales[todo]
+            # OFF/ON pairs enough to pass t with a wide margin
+            pairs = int(np.max((t - tails) / scales.sum(axis=1) * 1.25)) + 8
+            draws = np.array([self._rngs[c].standard_exponential(2 * pairs) for c in todo.tolist()])
+            kept = draws > 0.0
+            drawn = np.bincount(self._channel, minlength=self.channels)[todo] + self._passed[todo]
+            # a kept variate's interval index is drawn - 1 plus the kept variates up to it; odd is ON
+            odd = np.logical_xor.accumulate(kept, axis=1) ^ (drawn % 2 == 0)[:, None]
+            scaled = np.where(odd, scales[:, 1:], scales[:, :1])
+            durations = np.multiply(draws, scaled, out=np.zeros_like(draws), where=kept)
+            durations[:, 0] += tails
+            ends = np.cumsum(durations, axis=1)
+            self._tail[todo] = ends[:, -1]
+            self._ends = np.concatenate((self._ends, ends[kept]))
+            self._channel = np.concatenate((self._channel, np.repeat(todo, np.count_nonzero(kept, axis=1))))
 
-    Processes whose ends stop short of t draw one batch of standard variates
-    each, all of one size. `exponential(scale)` is `scale *
-    standard_exponential()`, and a stream serves the same variates however
-    they are batched, so a batch times the alternating 1/rate scales, summed
-    in order along its row, appends the ends one draw per interval would. A
-    batch with a non-positive duration is replayed one variate at a time, so
-    the redraw takes the next variate at the same scale. A zero rate's
-    infinite scale makes its state absorbing: every end from its own on is
-    math.inf.
-    """
-    while todo := [p for p in processes if p._tail <= t]:
-        starts = [p._tail for p in todo]
-        # OFF/ON pairs enough to pass t with a wide margin
-        pairs = max(int((t - start) / sum(p._scales) * 1.25) + 8 for p, start in zip(todo, starts))
-        draws = np.array([p._rng.standard_exponential(2 * pairs) for p in todo])
-        # each row's scales in pairs, (ON, OFF) where its next interval is ON
-        scales = np.array([p._scales[::-1] if (p._passed + len(p._ends)) % 2 else p._scales for p in todo])
-        durations = (draws.reshape(len(todo), pairs, 2) * scales[:, None]).reshape(len(todo), 2 * pairs)
-        positive = (durations > 0.0).all(axis=1).tolist()
-        durations[:, 0] += starts
-        for p, row, ok, batch in zip(todo, np.cumsum(durations, axis=1), positive, draws):
-            if not ok:
-                ends = p._ends.tolist()
-                for x in batch.tolist():
-                    d = x * p._scales[(p._passed + len(ends)) % 2]
-                    if d > 0.0:
-                        ends.append((ends[-1] if ends else 0.0) + d)
-                row = ends[len(p._ends):]
-            p._ends = np.concatenate((p._ends, row))
-            p._tail = float(p._ends[-1]) if len(p._ends) else 0.0
+    def busy_bits(self, first: int, width: int) -> np.ndarray:
+        """Busy bits of every channel at the half-slot instants (first + k) / 2,
+        k < width, one row per channel; `first` may not precede the last
+        half-slot an earlier call served.
 
-
-def busy_bits(processes: list[ChannelProcess], first: int, width: int) -> np.ndarray:
-    """Busy bits of every process at the half-slot instants (first + k) / 2,
-    k < width, one row per process; `first` may not precede the last
-    half-slot an earlier call served.
-
-    An end e has passed instant h / 2 iff ceil(2e) <= h, exactly, as 2e and
-    h / 2 are exact in binary floating point. So each end flips its state from
-    half-slot ceil(2e) on, and one bincount of the flips, summed along each
-    row, counts the ends passed at every instant, as the reference's search
-    with side="right" does; the count's parity is the state.
-    """
-    if width < 1 or any(first < p._last for p in processes):
-        raise InvalidParameterError(f"need half-slots from the last one served on, got {width} from {first}")
-    last = first + width - 1
-    _draw_ends(processes, last * 0.5)
-    sizes = [len(p._ends) for p in processes]
-    flips = np.clip(np.ceil(2.0 * np.concatenate([p._ends for p in processes])) - first, 0, width)
-    flips = flips.astype(np.intp) + np.repeat(np.arange(0, len(processes) * (width + 1), width + 1), sizes)
-    counts = np.bincount(flips, minlength=len(processes) * (width + 1)).reshape(-1, width + 1)
-    kept = counts[:, width].tolist()  # ends past the last instant
-    counts[:, 0] += [p._passed for p in processes]  # odd interval indices are ON
-    # a uint8 running count wraps modulo 256, which keeps its parity
-    busy = (np.cumsum(counts[:, :width], axis=1, dtype=np.uint8) & 1).view(bool)
-    for p, size, k in zip(processes, sizes, kept):
-        if k < size:  # some end passed
-            p._ends = p._ends[size - k:]
-            p._passed += size - k
-        p._last = last
-    return busy
+        An end e has passed instant h / 2 iff ceil(2e) <= h, exactly, as 2e
+        and h / 2 are exact in binary floating point. So each end flips its
+        state from half-slot ceil(2e) on, and one bincount of the flips,
+        summed along each row, counts the ends passed at every instant, as the
+        reference's search with side="right" does; the count's parity is the
+        state.
+        """
+        if width < 1 or first < self._last:
+            raise InvalidParameterError(f"need half-slots from the last one served on, got {width} from {first}")
+        last = first + width - 1
+        self._draw(last * 0.5)
+        flips = np.clip(np.ceil(2.0 * self._ends) - first, 0, width).astype(np.intp)
+        counts = np.bincount(flips + self._channel * (width + 1), minlength=self.channels * (width + 1))
+        counts = counts.reshape(-1, width + 1)
+        counts[:, 0] += self._passed  # odd interval indices are ON
+        self._passed = counts[:, :width].sum(axis=1)  # with the ends passed by the last instant
+        ahead = flips == width
+        self._ends, self._channel, self._last = self._ends[ahead], self._channel[ahead], last
+        # a uint8 running count wraps modulo 256, which keeps its parity
+        return (np.cumsum(counts[:, :width], axis=1, dtype=np.uint8) & 1).view(bool)

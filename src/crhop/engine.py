@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activity import ACTIVITY_CLASSES, OFF, ON, ChannelProcess, busy_bits, make_profile
+from .activity import ACTIVITY_CLASSES, OFF, ON, ChannelProcess, make_profile
 from .errors import InvalidParameterError
 from .handshake import D_REQ, HANDSHAKE_KINDS, HANDSHAKE_SIZES, NeighborTables, run_handshake
 from .protocols import STRATEGIES, STRATEGY_KINDS, channel_table, make_strategy
@@ -159,8 +159,8 @@ class Scenario:
             raise InvalidParameterError(f"unknown completion mode {self.completion_mode!r}")
         if self.max_slots < 1:
             raise InvalidParameterError(f"max_slots must be >= 1, got {self.max_slots}")
-        if not all(0 < side < math.inf for side in self.area):
-            raise InvalidParameterError(f"area sides must be finite and positive, got {self.area}")
+        if not (all(side > 0 for side in self.area) and sum(side * side for side in self.area) < math.inf):
+            raise InvalidParameterError(f"area sides must be positive with a finite diagonal, got {self.area}")
         if not self.radio_range > 0:
             raise InvalidParameterError(f"radio_range must be positive, got {self.radio_range}")
         if not self.emca_window > 0:
@@ -215,19 +215,19 @@ class RunRecord:
 
 class Environment:
     """What every run on one (environment key, seed) shares: the topology,
-    channel sets and occupancy processes (one per channel, in channel order),
-    each block's busy bits, shared by every clock class, and one clock record:
-    the strategy class whose clocks run now (mmca and memca share one), its
-    nodes and channel table, its hop blocks and each block's schedule,
-    untraced and traced, replaced whole when a run of another class asks;
-    and each behaviour key's record, which every later run with that key
-    returns, as a record is a pure function of the environment and that key."""
+    channel sets and the pool's occupancy process, each block's busy bits,
+    shared by every clock class, and one clock record: the strategy class
+    whose clocks run now (mmca and memca share one), its nodes and channel
+    table, its hop blocks and each block's schedule, untraced and traced,
+    replaced whole when a run of another class asks; and each behaviour key's
+    record, which every later run with that key returns, as a record is a
+    pure function of the environment and that key."""
 
     def __init__(self, key: str, seed, topology: Topology, smap: SpectrumMap,
-                 processes: list[ChannelProcess], seeds: np.ndarray):
+                 occupancy: ChannelProcess, seeds: np.ndarray):
         self.key, self.seed = key, seed
         self.seeds = seeds  # each node's strategy stream, then the election's; restarted per clock class, per run
-        self.topology, self.smap, self.processes = topology, smap, processes
+        self.topology, self.smap, self.occupancy = topology, smap, occupancy
         self._busy: list[np.ndarray] = []
         self._clock = None, [], None, [], {}  # (class, nodes, channel table, hop blocks, {(block, trace): schedule})
         self.records: dict[tuple, RunRecord] = {}  # behaviour key -> record of the first run with it
@@ -256,13 +256,13 @@ class Environment:
         if (b, trace) not in schedules:
             slots = min(FIRST_BLOCK_SLOTS << b, MAX_BLOCK_SLOTS)
             if b == len(hops):  # every node's channels, with a row n of channel 0 for no node
-                block = np.zeros((len(nodes) + 1, 2 * slots), np.min_scalar_type(len(self.processes)))
+                block = np.zeros((len(nodes) + 1, 2 * slots), np.min_scalar_type(self.occupancy.channels))
                 block[:-1] = clock.block(nodes, table, slots)
                 hops.append(block)
             if b == len(self._busy):
                 start = sum(busy.shape[1] for busy in self._busy)  # half-slots before block b
-                busy = np.zeros((len(self.processes) + 1, 2 * slots), dtype=bool)
-                busy[1:] = busy_bits(self.processes, start, 2 * slots)
+                busy = np.zeros((self.occupancy.channels + 1, 2 * slots), dtype=bool)
+                busy[1:] = self.occupancy.busy_bits(start, 2 * slots)
                 self._busy.append(busy)
             schedules[b, trace] = _schedule(hops[b], self._busy[b], self.topology.peers, trace)
         return schedules[b, trace]
@@ -318,8 +318,8 @@ def build_environment(scenario: Scenario, seed) -> Environment:
     smap = assign_channels(n, c, scenario.mode, seeded_rng(seeds[1]), m=scenario.m,
                            per_node_size=scenario.per_node_size)
     rates = make_profile(scenario.activity, c, table=scenario.rates_table)
-    processes = [ChannelProcess(r, seeded_rng(row)) for r, row in zip(rates, seeds[2:])]
-    return Environment(scenario.environment_key(), seed, topo, smap, processes, seeds[2 + c:])
+    occupancy = ChannelProcess(rates, [seeded_rng(row) for row in seeds[2:2 + c]])
+    return Environment(scenario.environment_key(), seed, topo, smap, occupancy, seeds[2 + c:])
 
 
 def _clusters(members: int, neighbor_masks: list[int]) -> list[int]:

@@ -92,8 +92,8 @@ def generate_topology(
     if not radio_range > 0:
         raise InvalidParameterError(f"radio_range must be positive, got {radio_range}")
     width, height = area
-    if not (0 < width < np.inf and 0 < height < np.inf):
-        raise InvalidParameterError(f"area sides must be finite and positive, got {area}")
+    if not (width > 0 and height > 0 and width * width + height * height < np.inf):
+        raise InvalidParameterError(f"area sides must be positive with a finite diagonal, got {area}")
     first, _, cells, others = pair_tables(node_count)
     drawn = 0
     while drawn < max_attempts:

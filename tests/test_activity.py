@@ -14,7 +14,6 @@ from crhop.activity import (
     ActivityRates,
     ON,
     ChannelProcess,
-    busy_bits,
     make_profile,
     state_probabilities,
     utilization,
@@ -144,9 +143,9 @@ class TestChannelProcess:
         assert intervals == [("off", 100.0)]
 
     def test_same_stream_same_intervals(self):
-        a = ChannelProcess(CH4, np.random.default_rng(11))
-        b = ChannelProcess(CH4, np.random.default_rng(11))
-        assert busy_bits([a], 0, 1000).tolist() == busy_bits([b], 0, 1000).tolist()
+        a = ChannelProcess([CH4], [np.random.default_rng(11)])
+        b = ChannelProcess([CH4], [np.random.default_rng(11)])
+        assert a.busy_bits(0, 1000).tolist() == b.busy_bits(0, 1000).tolist()
 
     def test_growing_horizon_extends_not_rewrites(self):
         ends, rng = [], np.random.default_rng(3)
@@ -171,31 +170,31 @@ class TestChannelProcess:
             assert abs(frac - utilization(CH4)) <= 0.02
 
     def test_is_busy_zero_class(self):
-        proc = ChannelProcess(ActivityRates(1000.0, 0.0), np.random.default_rng(0))
-        assert not busy_bits([proc], 0, 36).any()  # 0.0 to 17.5
-        assert not busy_bits([proc], 19_996, 3).any()  # 9998.0 to 9999.0
+        proc = ChannelProcess([ActivityRates(1000.0, 0.0)], [np.random.default_rng(0)])
+        assert not proc.busy_bits(0, 36).any()  # 0.0 to 17.5
+        assert not proc.busy_bits(19_996, 3).any()  # 9998.0 to 9999.0
 
     def test_is_busy_starts_off(self):
         for rates in (CH4, CH2):
-            proc = ChannelProcess(rates, np.random.default_rng(8))
-            assert not busy_bits([proc], 0, 1)[0, 0]
+            proc = ChannelProcess([rates], [np.random.default_rng(8)])
+            assert not proc.busy_bits(0, 1)[0, 0]
 
     def test_is_busy_frequency_matches_utilization(self):
         # every half-slot instant of 100,000 s, in one pass
-        proc = ChannelProcess(CH4, np.random.default_rng(21))
-        frac = busy_bits([proc], 0, 200_000).mean()
+        proc = ChannelProcess([CH4], [np.random.default_rng(21)])
+        frac = proc.busy_bits(0, 200_000).mean()
         assert abs(frac - utilization(CH4)) <= 0.02
 
     def test_is_busy_boundaries_half_open(self):
         # The first OFF interval ends and ON begins at 1.0; OFF resumes at 2.5.
-        proc = ChannelProcess(ActivityRates(0.5, 1.0), VariateStub([1.0, 0.75]))
-        assert busy_bits([proc], 0, 7).tolist() == [[False, False, True, True, True, False, False]]
+        proc = ChannelProcess([ActivityRates(0.5, 1.0)], [VariateStub([1.0, 0.75])])
+        assert proc.busy_bits(0, 7).tolist() == [[False, False, True, True, True, False, False]]
 
     @pytest.mark.parametrize("nudge, busy_from", [(-(2.0**-40), 2), (0.0, 2), (2.0**-40, 3)])
     def test_an_end_flips_the_first_half_slot_at_or_after_it(self, nudge, busy_from):
         # ceil(2 * end) is the first half-slot whose instant the end has passed
-        proc = ChannelProcess(ActivityRates(0.001, 1.0), VariateStub([1.0 + nudge]))
-        assert busy_bits([proc], 0, 5)[0].tolist() == [k >= busy_from for k in range(5)]
+        proc = ChannelProcess([ActivityRates(0.001, 1.0)], [VariateStub([1.0 + nudge])])
+        assert proc.busy_bits(0, 5)[0].tolist() == [k >= busy_from for k in range(5)]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -227,9 +226,28 @@ class VariateStub:
         return np.array([self._next() for _ in range(size)])
 
 
+class ZeroedStream:
+    """Generator stand-in serving a real stream's standard-exponential
+    variates with 0.0 at the given positions (0 is the first variate served),
+    through both the scalar `exponential(scale)` and the batched
+    `standard_exponential(size)` draws."""
+
+    def __init__(self, seed, zeros):
+        self._rng, self._zeros, self._served = np.random.default_rng(seed), sorted(zeros), 0
+
+    def standard_exponential(self, size):
+        x = self._rng.standard_exponential(size)
+        x[[k - self._served for k in self._zeros if self._served <= k < self._served + size]] = 0.0
+        self._served += size
+        return x
+
+    def exponential(self, scale):
+        return scale * self.standard_exponential(1)[0]
+
+
 class TestBusyBlocks:
     """busy_bits must equal the scalar is_busy(t) at every instant of every
-    process it serves, block after block."""
+    channel it serves, block after block."""
 
     RATES = (
         ActivityRates(1000.0, 0.0),  # zero class: never busy
@@ -243,21 +261,23 @@ class TestBusyBlocks:
 
     @staticmethod
     def check(rates, make_rng, widths):
-        """One pass per width over a process per entry of `rates`, each with
-        the stream make_rng(i), against the oracle on a stream of its own."""
+        """One pass per width over a pool with a channel per entry of `rates`,
+        each with the stream make_rng(i), against the oracle on a stream of
+        its own."""
         oracles = [([], make_rng(i)) for i in range(len(rates))]
-        procs = [ChannelProcess(r, make_rng(i)) for i, r in enumerate(rates)]
+        pool = ChannelProcess(list(rates), [make_rng(i) for i in range(len(rates))])
         start = 0
         for width in widths:
-            got = busy_bits(procs, start, width)
-            assert got.dtype == bool and got.shape == (len(procs), width)
+            got = pool.busy_bits(start, width)
+            assert got.dtype == bool and got.shape == (len(rates), width)
             for row, r, (ends, rng) in zip(got.tolist(), rates, oracles):
                 assert row == [reference.is_busy(ends, r, rng, (start + k) * 0.5) for k in range(width)]
             start += width
-        # the retained ends are the oracle's from index _passed on
-        for proc, (ends, _) in zip(procs, oracles):
-            shared = min(len(ends) - proc._passed, len(proc._ends))
-            assert proc._ends[:shared].tolist() == ends[proc._passed : proc._passed + shared]
+        # each channel's retained ends are the oracle's from index _passed on
+        for c, (ends, _) in enumerate(oracles):
+            retained, passed = pool._ends[pool._channel == c], pool._passed[c]
+            shared = min(len(ends) - passed, len(retained))
+            assert retained[:shared].tolist() == ends[passed : passed + shared]
 
     @pytest.mark.parametrize("rates", RATES, ids=repr)
     def test_half_slot_blocks_match_is_busy(self, rates):
@@ -303,42 +323,54 @@ class TestBusyBlocks:
         reference.is_busy(ref_ends, rates, VariateStub(head), 0.55)
         assert ref_ends[:3] == want
         self.check([rates], lambda i: VariateStub(head), (1, 2, 16))
-        blk = ChannelProcess(rates, VariateStub(head))
-        busy_bits([blk], 0, 1)
-        assert (blk._passed, blk._ends[:3].tolist()) == (0, want)
-        busy_bits([blk], 1, 1)  # passes the two intervals ending by 0.5
-        assert (blk._passed, blk._ends[0]) == (2, want[2])
+        blk = ChannelProcess([rates], [VariateStub(head)])
+        blk.busy_bits(0, 1)
+        assert (blk._passed[0], blk._ends[:3].tolist()) == (0, want)
+        blk.busy_bits(1, 1)  # passes the two intervals ending by 0.5
+        assert (blk._passed[0], blk._ends[0]) == (2, want[2])
 
     def test_zero_draw_replay_beside_batched_channels(self):
-        # The replayed batch sits in one pass with channels whose batches are not.
+        # The redrawn batch sits in one pass with channels whose batches are not.
         head = [1.0, 0.0, 0.5, 0.25, 0.0, 0.0, 2.0]
         rates = (ActivityRates(2.0, 4.0), CH4, ActivityRates(0.0, 0.5), ActivityRates(1000.0, 0.0), CH2)
         self.check(rates, lambda i: VariateStub(head) if i == 0 else np.random.default_rng(i), (1, 2, 16, 300))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rates=st.lists(
+            st.one_of(rates_strategy(), st.sampled_from(RATES)), min_size=1, max_size=6
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zeros=st.lists(st.sets(st.integers(min_value=0, max_value=63), max_size=12), min_size=6, max_size=6),
+        widths=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=4),
+    )
+    def test_zero_variates_anywhere_match_is_busy(self, rates, seed, zeros, widths):
+        # Zeros at random positions, runs of them included, in every channel's
+        # stream, so the redraw meets every class and batch position.
+        self.check(rates, lambda i: ZeroedStream([seed, i], zeros[i]), widths)
 
     @pytest.mark.parametrize("rates", [CH4, ActivityRates(0.5, 40.0)], ids=repr)
     def test_retained_ends_stay_within_a_block(self, rates):
         # A full history would grow with the block index; the retained ends
         # stay within twice the mean interval count of one block.
-        proc = ChannelProcess(rates, np.random.default_rng(7))
+        proc = ChannelProcess([rates], [np.random.default_rng(7)])
         width = 512  # half-slots per block
         bound = 2 * 2 * (width * 0.5) / (1.0 / rates.lambda_x + 1.0 / rates.lambda_y)
         for b in range(200):
-            busy_bits([proc], b * width, width)
+            proc.busy_bits(b * width, width)
             assert len(proc._ends) <= bound, b
 
     def test_times_must_be_nonempty_and_nonnegative(self):
-        proc = ChannelProcess(CH4, np.random.default_rng(2))
+        proc = ChannelProcess([CH4], [np.random.default_rng(2)])
         with pytest.raises(InvalidParameterError):
-            busy_bits([proc], 0, 0)
+            proc.busy_bits(0, 0)
         with pytest.raises(InvalidParameterError):
-            busy_bits([proc], -1, 2)
+            proc.busy_bits(-1, 2)
 
     @pytest.mark.parametrize("rates", [CH4, ActivityRates(1000.0, 0.0)], ids=repr)
     def test_times_must_not_precede_the_previous_call(self, rates):
-        proc, other = ChannelProcess(rates, np.random.default_rng(2)), ChannelProcess(CH2, np.random.default_rng(3))
-        busy_bits([proc], 0, 21)  # up to 10.0
+        proc = ChannelProcess([rates], [np.random.default_rng(2)])
+        proc.busy_bits(0, 21)  # up to 10.0
         with pytest.raises(InvalidParameterError):
-            busy_bits([proc], 19, 2)  # 9.5 and 10.5
-        with pytest.raises(InvalidParameterError):
-            busy_bits([other, proc], 19, 2)  # any process of the pass counts
-        busy_bits([proc], 20, 2)  # may start at the previous call's last instant
+            proc.busy_bits(19, 2)  # 9.5 and 10.5
+        proc.busy_bits(20, 2)  # may start at the previous call's last instant

@@ -230,10 +230,14 @@ def test_sweep_line_counts_infeasible_cells(tmp_path, capsys):
     pytest.param(["run", "--rates", "{path}"], "[[Infinity, 1.0]]", id="rates-infinity"),
     pytest.param(["run", "--rates", "{path}"], "[[-1.0, 1.0]]", id="rates-negative"),
     pytest.param(["run", "--rates", "{path}"], "[[0.0, 0.0]]", id="rates-degenerate"),
+    pytest.param(["run", "--rates", "{path}"], "[[1e308, 1e308]]", id="rates-overflowing"),
+    pytest.param(["run", "--rates", "{path}"], "[[1e6, 1e6]]", id="rates-past-the-bound"),
     pytest.param(["run", "--positions", "{path}"], None, id="positions-missing"),
     pytest.param(["run", "--positions", "{path}"], "0 a 1\n", id="positions-malformed"),
     pytest.param(["sweep", "--config", "{path}"], None, id="config-missing"),
     pytest.param(["check-table1", "--rates", "{path}"], None, id="table1-rates-missing"),
+    pytest.param(["check-table1", "--rates", "{path}"], "[[1e308, 1e308]]", id="table1-rates-overflowing"),
+    pytest.param(["check-table1", "--rates", "{path}"], "[[1e6, 1e6]]", id="table1-rates-past-the-bound"),
 ])
 def test_bad_input_file_exits_2(argv, content, tmp_path, capsys):
     path = tmp_path / "input"
@@ -268,11 +272,12 @@ def test_invalid_arguments_return_error(capsys, tmp_path):
         assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--area", "400"], ["--emca-window", "abc"]])
+@pytest.mark.parametrize("flags", [["--area", "400"], ["--emca-window", "abc"], ["--area", "1e308x1e308"]])
 def test_malformed_scenario_flag_exits_2(flags, capsys, tmp_path):
     code = main(["run", "--nodes", "3", "--runs", "1", *flags, "--out", str(tmp_path / "x")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Warning" not in err
 
 
 def test_malformed_worker_count_exits_2(monkeypatch, capsys, tmp_path):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from crhop import engine, experiment
+from crhop.activity import ChannelProcess
 from crhop.engine import FIRST_BLOCK_SLOTS, Environment, Scenario, build_environment, run
 from crhop.errors import InvalidParameterError
 from crhop.experiment import run_group
@@ -74,7 +75,8 @@ def test_a_group_derives_each_schedule_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(engine, "_schedule", counting(engine._schedule, derived, lambda *key: key))
-    monkeypatch.setattr(engine, "busy_bits", counting(engine.busy_bits, busy, lambda env, clock, b, trace: (env, b)))
+    busy_draws = counting(ChannelProcess.busy_bits, busy, lambda env, clock, b, trace: (env, b))
+    monkeypatch.setattr(ChannelProcess, "busy_bits", busy_draws)
     for cls in set(STRATEGIES.values()):
         hop_draws = counting(cls.block, hops, lambda env, clock, b, trace: (env, clock, b))
         monkeypatch.setattr(cls, "block", staticmethod(hop_draws))
