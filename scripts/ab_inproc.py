@@ -14,7 +14,10 @@ each block's CPU time is taken per tree.
 
 The tree imported first can run faster or slower for reasons of its own, so
 the comparison runs twice, in two child processes: PARENT imported first,
-then CHANGE imported first, each for --seconds of blocks. The script prints
+then CHANGE imported first, each for --seconds of CPU time and at least
+MIN_BLOCKS blocks. A grid block is one 336-cell sweep per tree, so a short
+--seconds alone leaves too few grid blocks to resolve a few percent; the
+other workloads pass MIN_BLOCKS within a few seconds. The script prints
 each order's geometric-mean CPU-time ratio CHANGE/PARENT over its blocks and
 the geometric mean over both orders (below 1 means CHANGE is faster; its
 inverse is the runs/s factor). It exits 1 if any operation's record or
@@ -36,6 +39,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+MIN_BLOCKS = 60  # per load order; see the module docstring
 
 
 def load(side: str, root: Path):
@@ -62,7 +66,8 @@ def activate(side: str) -> None:
 
 
 def child(order: tuple[str, str], roots: dict, workload: str, seed: int, seconds: float) -> dict:
-    """Blocks 0, 1, ... of the workload on both trees, loaded in `order`, for `seconds` of CPU time."""
+    """Blocks 0, 1, ... of the workload on both trees, loaded in `order`, for
+    `seconds` of CPU time and at least MIN_BLOCKS blocks."""
     for side in order:
         load(side, roots[side])
     sys.path.insert(0, str(roots["change"] / "perfbench"))
@@ -75,7 +80,7 @@ def child(order: tuple[str, str], roots: dict, workload: str, seed: int, seconds
         runs[side] = workloads.WORKLOADS[workload](seed, workloads.SIZES[workload])
         runs[side].warm_up()
     ratios, problems, spent, block = [], [], 0.0, 0
-    while spent < seconds and not problems:
+    while (spent < seconds or block < MIN_BLOCKS) and not problems:
         cpu, passes = {}, {}
         for side in order if block % 2 == 0 else order[::-1]:
             activate(side)

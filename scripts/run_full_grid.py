@@ -9,7 +9,9 @@ Three sub-sweeps cover the scenario families of interest:
 All four protocols and both handshakes run in every sub-sweep with paired
 seeds, so any two cells differing only in protocol or handshake share their
 topologies and occupancy traces. The defaults took 9–10 s on 2 cores
-(Python 3.11, serial); set CRHOP_WORKERS to parallelize across cells.
+(Python 3.11, serial); set CRHOP_WORKERS to run a sub-sweep's environment
+groups (cells that share a topology and occupancy) in parallel. Each
+sub-sweep starts at most one worker per group.
 
 Usage: python scripts/run_full_grid.py [--out results] [--runs 30] [--seed 1]
 """

@@ -227,8 +227,9 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
     """Run every cell and write data.csv + summary.json under out_dir.
 
     Infeasible cells (e.g. topology generation failure) are reported in the
-    summary and skipped; the sweep continues. Worker count comes from the
-    CRHOP_WORKERS environment variable: an integer >= 1, default 1.
+    summary and skipped; the sweep continues. CRHOP_WORKERS sets the worker
+    count, an integer >= 1 (default 1), capped at the number of environment
+    groups: a one-group sweep, as every `crhop run` is, stays serial.
     """
     scenarios = cells(config)
     groups: dict[str, list[int]] = {}  # environment key -> indices of its cells, ascending
@@ -242,6 +243,7 @@ def run_sweep(config: SweepConfig, out_dir: str) -> list[ExperimentResult]:
         workers = 0
     if workers < 1:
         raise InvalidParameterError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {text!r}")
+    workers = min(workers, len(tasks))  # a pool starts all its workers at the first submit
     with writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
     if workers > 1:

@@ -9,9 +9,9 @@ once per half-slot over the full available set.
 A strategy class's `block(nodes, table, slots)` returns every node's channels
 for the next `slots` whole slots, one row per node in half-slot order, and
 leaves each node as `slots` rounds of `select(1)`, `select(2)` would: same
-channels, same stream consumption. `select` stays as the reference. mdmca,
-mmca and memca share one `block`, `_ModularClock`'s; mrcs takes a value every
-half-slot and reads each block in one draw.
+channels, same stream consumption. mdmca, mmca and memca are one clock,
+`_ModularClock`, with one `select` and `block`, given lists, modulus and
+period; mrcs takes a value every half-slot and reads each block in one draw.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class _ModularClock:
 
     Every value a node reads (its first clocks, `select`'s and `block`'s
     rates) goes through `_take`, which serves it from a list refilled CHUNK
-    values at a time. All come from `integers(bound)` at one bound, and
+    values at a time. All come from `integers(modulus)`, one bound, and
     `integers(bound, size=a)` then `size=b` gives what `size=a + b` does, so
     chunking changes no value, and after t values taken the stream sits at
     CHUNK * ceil(t / CHUNK) whichever path took them.
@@ -80,7 +80,7 @@ class _ModularClock:
 
     def __init__(self, cu: tuple, lists: tuple, modulus: int, period: int, rng: np.random.Generator):
         self.cu, self.lists, self.modulus, self.period = cu, lists, modulus, period
-        self._rng, self._bound, self._values = rng, modulus, []
+        self._rng, self._values = rng, []
         self.j = self._take(len(lists))
         self.r = [0] * len(lists)
         self.steps = 0
@@ -89,10 +89,30 @@ class _ModularClock:
         """The stream's next k values."""
         values = self._values
         if len(values) < k:
-            values += self._rng.integers(self._bound, size=CHUNK * -((len(values) - k) // CHUNK)).tolist()
+            values += self._rng.integers(self.modulus, size=CHUNK * -((len(values) - k) // CHUNK)).tolist()
         taken = values[:k]
         del values[:k]
         return taken
+
+    def select(self, half: int) -> int:
+        """The channel of half-slot `half` (1 or 2), from clock half - 1 of a two-list clock or the one
+        clock of a one-list clock. An empty list reads the full set; a second clock that lands on the
+        first half's channel then is nudged once past it."""
+        if half != 1 and half != 2:
+            raise InvalidParameterError(f"half must be 1 or 2, got {half}")
+        j, lists, k = self.j, self.lists, len(self.lists)
+        l = half - 1 if k == 2 else 0
+        if not (l or self.steps):  # clock 0 opens a rate epoch
+            self.r = self._take(k)
+        at = j[l] = (j[l] + self.r[l]) % self.modulus
+        chosen, first = lists[l], lists[0]
+        c = chosen[at % len(chosen)] if chosen else self.cu[at]
+        if l + 1 == k:  # the step's last clock
+            if l and not (chosen and first) and c == (first[j[0] % len(first)] if first else self.cu[j[0]]):
+                at = j[1] = (at + 1) % self.modulus
+                c = self.cu[at]
+            self.steps = (self.steps + 1) % self.period
+        return c
 
     @staticmethod
     def block(nodes: list[_ModularClock], table: np.ndarray, slots: int) -> np.ndarray:
@@ -136,42 +156,18 @@ class _ModularClock:
 class MdmcaStrategy(_ModularClock):
     """Dual modular clocks over the prime / non-prime split.
 
-    Both clocks run modulo the available-set size m. Hop rates are redrawn
-    uniformly from [0, m) every m slots (when the inner counter wraps), which
-    also unsticks a rate of 0. The first half-slot maps clock 1 onto the
-    prime list when it is nonempty, otherwise onto the full set; the second
-    half-slot does the same with clock 2 and the non-prime list. The two
-    halves can only pick the same channel when one of the lists is empty, in
-    which case the second clock is nudged forward once.
+    Both clocks run modulo the available-set size m, and their rates are
+    redrawn uniformly from [0, m) every m slots, which also unsticks a rate of
+    0. Clock 1 reads the prime list in the first half-slot, clock 2 the
+    non-prime list in the second; an empty list reads the full set, and the
+    second clock is nudged once past a collision.
     """
 
     kind = "mdmca"
 
     def __init__(self, channels, rng: np.random.Generator):
         cu = _available(channels)
-        self.mp, self.np_ = (tuple(s) for s in partition_prime(cu))
-        self.m = len(cu)
-        super().__init__(cu, (self.mp, self.np_), self.m, self.m, rng)
-        self._c1: int | None = None
-
-    def select(self, half: int) -> int:
-        j, m = self.j, self.m
-        if half == 1:
-            if self.steps == 0:
-                self.r = self._take(2)
-            j[0] = (j[0] + self.r[0]) % m
-            c1 = self.mp[j[0] % len(self.mp)] if self.mp else self.cu[j[0]]
-            self._c1 = c1
-            return c1
-        if half != 2:
-            raise InvalidParameterError(f"half must be 1 or 2, got {half}")
-        j[1] = (j[1] + self.r[1]) % m
-        c2 = self.np_[j[1] % len(self.np_)] if self.np_ else self.cu[j[1]]
-        if c2 == self._c1:  # only possible when mp or np_ is empty
-            j[1] = (j[1] + 1) % m
-            c2 = self.cu[j[1]]
-        self.steps = (self.steps + 1) % m
-        return c2
+        super().__init__(cu, tuple(tuple(s) for s in partition_prime(cu)), len(cu), len(cu), rng)
 
 
 class MrcsStrategy:
@@ -205,16 +201,8 @@ class MmcaStrategy(_ModularClock):
 
     def __init__(self, channels, rng: np.random.Generator):
         cu = _available(channels)
-        self.m = len(cu)
-        self.p = smallest_prime_at_least(self.m)
-        super().__init__(cu, (cu,), self.p, 2 * self.p, rng)
-
-    def select(self, half: int) -> int:
-        if self.steps == 0:
-            self.r = self._take(1)
-        self.steps = (self.steps + 1) % self.period
-        j = self.j[0] = (self.j[0] + self.r[0]) % self.p
-        return self.cu[j if j < self.m else j % self.m]
+        p = smallest_prime_at_least(len(cu))
+        super().__init__(cu, (cu,), p, 2 * p, rng)
 
 
 # memca shares mmca's clock; it differs only in its termination policy,

@@ -30,7 +30,9 @@ are sized in n^2 cells by `FIRST_BATCH`, `MAX_BATCH` and `MAX_CELLS`.
 Modular clocks: `crhop.protocols` serves mdmca's and mmca's stream values
 from a list refilled CHUNK values at a time; `clock_reads` reads a node's
 stream as it was read before, one value per `integers(bound)` in `select`
-and one `integers(bound, size=k)` per block, and returns the values.
+and one `integers(bound, size=k)` per block, and returns the values. Both
+protocols step through one `select` on their shared clock base;
+`modular_clock_trace` is the two per-class rules it replaced, as plain loops.
 
 Schedules: `crhop.engine._schedule` derives a block's schedule in numpy;
 `schedule` builds the same arrays in a plain loop over half-slots, channels
@@ -204,6 +206,52 @@ def generate_topology(node_count, area, radio_range, rng, max_attempts):
             return Topology.__new__(Topology)._index(points[hits[0]], adjacency[hits[0]])
         drawn += size
     raise GenerationFailureError(f"no connected placement within {max_attempts} attempts")
+
+
+def modular_clock_trace(kind: str, cu, rng, halves: int) -> list[int]:
+    """The channels of a fresh mdmca or mmca (memca) node on channel set `cu`
+    over its first `halves` half-slots, reading one `rng.integers(bound)` per
+    value: first its clocks, then its rates at every epoch it enters.
+
+    mdmca: clocks j1 and j2 modulo m, the prime list in the first half-slot
+    and the non-prime list in the second, each read at j mod its length, the
+    full set for an empty list; a second channel equal to the first nudges
+    j2 once. A rate pair every m slots. mmca: one clock modulo the least
+    prime p >= m, read at j if j < m else j mod m; a rate every 2p half-slots.
+    """
+    cu = sorted(cu)
+    m = len(cu)
+    out = []
+    if kind == "mdmca":
+        mp = [c for c in cu if is_prime(c)]
+        np_ = [c for c in cu if not is_prime(c)]
+        j1, j2 = int(rng.integers(m)), int(rng.integers(m))
+        t = 0
+        while len(out) < halves:
+            if t == 0:
+                r1, r2 = int(rng.integers(m)), int(rng.integers(m))
+            j1 = (j1 + r1) % m
+            c1 = mp[j1 % len(mp)] if mp else cu[j1]
+            out.append(c1)
+            if len(out) == halves:
+                break
+            j2 = (j2 + r2) % m
+            c2 = np_[j2 % len(np_)] if np_ else cu[j2]
+            if c2 == c1:  # only possible when mp or np_ is empty
+                j2 = (j2 + 1) % m
+                c2 = cu[j2]
+            out.append(c2)
+            t = (t + 1) % m
+        return out
+    p = next(q for q in range(max(m, 2), 2 * m + 3) if is_prime(q))
+    j, t = int(rng.integers(p)), 0
+    while len(out) < halves:
+        if t == 0:
+            r = int(rng.integers(p))
+        t = (t + 1) % (2 * p)
+        j = (j + r) % p
+        out.append(cu[j if j < m else j % m])
+    return out
 
 
 def clock_reads(kind: str, cu, rng, steps) -> list[int]:

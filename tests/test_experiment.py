@@ -43,6 +43,30 @@ def tiny_config(**kw):
     return SweepConfig(**base)
 
 
+def stub_process_pool(monkeypatch) -> list:
+    """Replace concurrent.futures.ProcessPoolExecutor with a stub that maps in
+    this process; returns the list of max_workers each built stub was asked for."""
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return asked
+
+
 class TestSweep:
     def test_single_cell_single_row(self, tmp_path):
         results = run_sweep(tiny_config(runs=1), str(tmp_path))
@@ -104,6 +128,27 @@ class TestSweep:
         run_sweep(config, str(tmp_path / "parallel"))
         for name in ("data.csv", "summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
+
+    def test_worker_count_is_capped_at_the_group_count(self, tmp_path, monkeypatch):
+        # A pool starts all its workers at the first submit, so the cap must
+        # come before it is built. The stub maps serially: no process starts.
+        config = tiny_config(protocols=("mdmca", "mrcs"), nodes=(3, 4), runs=2)  # two environment groups
+        monkeypatch.delenv("CRHOP_WORKERS", raising=False)
+        run_sweep(config, str(tmp_path / "serial"))
+        pools = stub_process_pool(monkeypatch)
+        monkeypatch.setenv("CRHOP_WORKERS", "1000000")
+        run_sweep(config, str(tmp_path / "capped"))
+        assert pools == [2]
+        for name in ("data.csv", "summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "capped" / name).read_bytes()
+
+    def test_one_group_run_builds_no_pool(self, tmp_path, monkeypatch, capsys):
+        from crhop.cli import main
+
+        pools = stub_process_pool(monkeypatch)
+        monkeypatch.setenv("CRHOP_WORKERS", "8")
+        assert main(["run", "--nodes", "3", "--runs", "2", "--max-slots", "200", "--out", str(tmp_path)]) == 0
+        assert pools == []
 
     def test_importing_crhop_leaves_the_process_pool_unimported(self):
         # Only a sweep with more than one worker imports concurrent.futures.

@@ -111,12 +111,6 @@ class TestMdmca:
         with pytest.raises(NoChannelError):
             MdmcaStrategy([], np.random.default_rng(0))
 
-    def test_bad_half_rejected(self):
-        strat = pinned_mdmca(range(1, 5), 0, 0, 1, 1)
-        strat.select(1)
-        with pytest.raises(InvalidParameterError):
-            strat.select(3)
-
     def test_trace_equivalence_small_slice(self):
         for m in (1, 2, 3):
             for cu in itertools.combinations(range(1, 8), m):
@@ -201,7 +195,7 @@ class TestMmca:
     def test_prime_modulus(self):
         assert smallest_prime_at_least(10) == 11
         strat = MmcaStrategy(range(1, 11), np.random.default_rng(0))
-        assert strat.p == 11
+        assert strat.modulus == 11
 
     def test_overflow_maps_onto_cu(self):
         strat = MmcaStrategy(range(1, 11), FakeRng([10], cycle=[0]))
@@ -255,7 +249,7 @@ class TestMmca:
         # difference each half-slot, which walks every residue mod the prime
         # p in p steps when the rates differ. Epochs with equal rates are exempt.
         nodes = [MmcaStrategy(channels, np.random.default_rng(seed)) for seed in seeds]
-        p, epochs = nodes[0].p, 3
+        p, epochs = nodes[0].modulus, 3
         rows = MmcaStrategy.block(nodes, channel_table(nodes), epochs * p)  # 2p half-slots an epoch
         rates = []  # each node's stream: its first clock, then one rate per epoch
         for seed in seeds:
@@ -285,6 +279,38 @@ def test_make_strategy_dispatch():
     assert make_strategy("memca", [1, 2], rng).kind == "mmca"  # memca differs only in the engine
     with pytest.raises(InvalidParameterError):
         make_strategy("jumpstay", [1, 2], rng)
+
+
+@pytest.mark.parametrize("kind", ["mdmca", "mmca", "memca"])
+def test_bad_half_rejected(kind):
+    strat, ref = (make_strategy(kind, range(1, 5), np.random.default_rng(0)) for _ in range(2))
+    strat.select(1)
+    for half in (0, 3, -1):
+        with pytest.raises(InvalidParameterError):
+            strat.select(half)
+    ref.select(1)
+    # A refused call steps nothing: the slot's second half and the slots after it match.
+    assert [strat.select(2), *select_reference(strat, 8)] == [ref.select(2), *select_reference(ref, 8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["mdmca", "mmca", "memca"]),
+    cu=st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    epochs=st.integers(min_value=1, max_value=4),
+    extra=st.integers(min_value=0, max_value=2**16),
+)
+def test_select_matches_the_per_class_trace(kind, cu, seed, epochs, extra):
+    # One stepping rule on the base against the two per-class rules it
+    # replaced: mdmca's prime / non-prime halves with the collision nudge,
+    # and mmca's one clock read at j mod m. Prime-only and non-prime-only
+    # sets and m = 1 all occur in 1..40 at these sizes.
+    strat = make_strategy(kind, cu, np.random.default_rng(seed))
+    epoch = 2 * strat.period // len(strat.lists)  # half-slots per rate epoch
+    halves = (epochs - 1) * epoch + 1 + extra % epoch
+    got = [strat.select(1 + i % 2) for i in range(halves)]
+    assert got == reference.modular_clock_trace(kind, cu, np.random.default_rng(seed), halves)
 
 
 def select_reference(strat, slots):
@@ -336,7 +362,7 @@ class TestHopBlocks:
             per_block = np.random.default_rng([seed, i])
             taken = reference.clock_reads(kind, cu, per_block, steps)
             chunked = np.random.default_rng([seed, i])
-            read = chunked.integers(node._bound, size=-(-len(taken) // protocols.CHUNK) * protocols.CHUNK).tolist()
+            read = chunked.integers(node.modulus, size=-(-len(taken) // protocols.CHUNK) * protocols.CHUNK).tolist()
             assert (read[:len(taken)], read[len(taken):]) == (taken, node._values)
             assert node._rng.bit_generator.state == chunked.bit_generator.state
             if protocols.CHUNK == 1:
