@@ -307,11 +307,15 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def load_rates_file(path: str) -> tuple[tuple[float, float], ...]:
-    """JSON list of [lambda_x, lambda_y] pairs overriding the built-in table."""
+    """JSON list of [lambda_x, lambda_y] pairs, each two numbers, overriding the built-in table."""
     text = read_input(path)
     try:
-        rows = tuple((float(lx), float(ly)) for lx, ly in json.loads(text))
-    except (TypeError, ValueError):
+        rows = json.loads(text)
+        pairs = type(rows) is list and all(type(row) is list and len(row) == 2 for row in rows)
+        if not pairs or any(type(x) not in (int, float) for row in rows for x in row):
+            raise ValueError
+        rows = tuple((float(lx), float(ly)) for lx, ly in rows)
+    except (OverflowError, RecursionError, ValueError):
         raise InvalidParameterError(f"{path}: expected a JSON list of [lambda_x, lambda_y] pairs") from None
     if not rows:
         raise InvalidParameterError(f"{path}: empty rates table")

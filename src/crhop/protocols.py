@@ -1,17 +1,18 @@
 """Channel-selection strategies, one choice per half-slot.
 
-All strategies make two rendezvous attempts per timeslot: `select(1)` for the
-first half-slot and `select(2)` for the second, called in that order every
-slot. The dual-clock strategy hops its prime channels in the first half and
-its non-prime channels in the second; the baselines advance a single clock
-once per half-slot over the full available set.
+All strategies make two rendezvous attempts per timeslot, one per half-slot.
+The dual-clock strategy hops its prime channels in the first half and its
+non-prime channels in the second; the baselines advance a single clock once
+per half-slot over the full available set.
 
-A strategy class's `block(nodes, table, slots)` returns every node's channels
-for the next `slots` whole slots, one row per node in half-slot order, and
-leaves each node as `slots` rounds of `select(1)`, `select(2)` would: same
-channels, same stream consumption. mdmca, mmca and memca are one clock,
-`_ModularClock`, with one `select` and `block`, given lists, modulus and
-period; mrcs takes a value every half-slot and reads each block in one draw.
+A strategy class's `block(nodes, table, slots)` is its one hop rule: every
+node's channels for the next `slots` whole slots, one row per node in
+half-slot order. mdmca, mmca and memca are one clock, `_ModularClock`, given
+lists, modulus and period; mrcs takes a value every half-slot and reads each
+block in one draw. `select(half)` is read from `block`: half 1 steps a
+one-slot block and half 2 returns that slot's second channel, so `slots`
+rounds of `select(1)`, `select(2)` give one `slots`-slot block's channels
+from the same stream values.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ CHUNK = 64  # values per stream read of a modular clock
 def channel_table(nodes: list) -> np.ndarray:
     """Every node's channel lists cycled to the population's largest modulus,
     so that a clock value indexes them: entry (i, l, j) is node i's l-th list
-    at j mod its length, and 0 for an empty list. Built once per population;
-    ids fit 16 bits, as pools stop at 4,096 channels."""
+    at j mod its length. Built once per population; ids fit 16 bits, as pools
+    stop at 4,096 channels."""
     width = max(s.modulus for s in nodes)
-    cycled = [[(list(c) * (width // len(c) + 1))[:width] if c else [0] * width for c in s.lists] for s in nodes]
+    cycled = [[(list(c) * (width // len(c) + 1))[:width] for c in s.lists] for s in nodes]
     return np.array(cycled, dtype=np.uint16)
 
 
@@ -55,7 +56,24 @@ def _available(channels) -> tuple:
     return cu
 
 
-class _ModularClock:
+class _Strategy:
+    """The one `select` of every strategy class, read from the class's `block`."""
+
+    _open = None  # the second channel of the slot select(1) opened, until select(2) reads it
+
+    def select(self, half: int) -> int:
+        """The channel of half-slot `half`: 1 steps a one-slot block, 2 returns its second channel.
+        Any other half, or a 2 with no slot open, is refused and steps nothing."""
+        if half != 1 and (half != 2 or self._open is None):
+            raise InvalidParameterError(f"half must be 1, or 2 after a select(1), got {half}")
+        if half == 2:
+            c, self._open = self._open, None
+            return c
+        c, self._open = type(self).block([self], channel_table([self]), 1)[0].tolist()
+        return c
+
+
+class _ModularClock(_Strategy):
     """One modular clock per channel list, `k = len(lists)` in all, each
     stepping by its rate modulo `modulus` and read through its list. Every
     clock takes fresh rates from [0, modulus) every `period` steps; `j` and `r`
@@ -65,17 +83,17 @@ class _ModularClock:
 
     A clock is affine within a rate epoch, so a population's block is one
     np.repeat of rates per epoch, one cumsum and one gather through its
-    `channel_table`. A node with an empty list steps `select` instead. Only
-    an mdmca node with an empty prime or non-prime list has one: its halves
-    can then collide, and the nudge that resolves a collision moves clock 2
-    for every later slot, which no affine form holds.
+    `channel_table`. Two lists are disjoint, or both the full set; then the
+    halves collide exactly when the clock values are equal, and clock 2 is
+    nudged once past clock 1. That moves it for every later step, so the
+    nudges are a running offset, one vector step per step of the block.
 
-    Every value a node reads (its first clocks, `select`'s and `block`'s
-    rates) goes through `_take`, which serves it from a list refilled CHUNK
-    values at a time. All come from `integers(modulus)`, one bound, and
-    `integers(bound, size=a)` then `size=b` gives what `size=a + b` does, so
-    chunking changes no value, and after t values taken the stream sits at
-    CHUNK * ceil(t / CHUNK) whichever path took them.
+    Every value a node reads (its first clocks and its rates) goes through
+    `_take`, which serves it from a list refilled CHUNK values at a time. All
+    come from `integers(modulus)`, one bound, and `integers(bound, size=a)`
+    then `size=b` gives what `size=a + b` does, so chunking changes no value,
+    and after t values taken the stream sits at CHUNK * ceil(t / CHUNK)
+    however the blocks that took them were sized.
     """
 
     def __init__(self, cu: tuple, lists: tuple, modulus: int, period: int, rng: np.random.Generator):
@@ -94,42 +112,16 @@ class _ModularClock:
         del values[:k]
         return taken
 
-    def select(self, half: int) -> int:
-        """The channel of half-slot `half` (1 or 2), from clock half - 1 of a two-list clock or the one
-        clock of a one-list clock. An empty list reads the full set; a second clock that lands on the
-        first half's channel then is nudged once past it."""
-        if half != 1 and half != 2:
-            raise InvalidParameterError(f"half must be 1 or 2, got {half}")
-        j, lists, k = self.j, self.lists, len(self.lists)
-        l = half - 1 if k == 2 else 0
-        if not (l or self.steps):  # clock 0 opens a rate epoch
-            self.r = self._take(k)
-        at = j[l] = (j[l] + self.r[l]) % self.modulus
-        chosen, first = lists[l], lists[0]
-        c = chosen[at % len(chosen)] if chosen else self.cu[at]
-        if l + 1 == k:  # the step's last clock
-            if l and not (chosen and first) and c == (first[j[0] % len(first)] if first else self.cu[j[0]]):
-                at = j[1] = (at + 1) % self.modulus
-                c = self.cu[at]
-            self.steps = (self.steps + 1) % self.period
-        return c
-
     @staticmethod
     def block(nodes: list[_ModularClock], table: np.ndarray, slots: int) -> np.ndarray:
         """Every node's channels of the next `slots` slots, both halves of each.
 
-        A clocked node takes all its epochs' rates in one `_take`, the values
-        `select` would take. int32 holds every sum: moduli stay below a few
-        thousand and a block below 600 steps."""
+        A node takes all its epochs' rates in one `_take`. int32 holds every
+        sum: moduli stay below a few thousand and a block below 600 steps."""
         k = len(nodes[0].lists)
         count = 2 * slots // k
-        out = np.empty((len(nodes), 2 * slots), np.uint16)
-        rows, values, repeats = [], [], []
-        for i, s in enumerate(nodes):
-            if not all(s.lists):
-                out[i] = [s.select(half) for _ in range(slots) for half in (1, 2)]
-                continue
-            rows.append(i)
+        values, repeats = [], []
+        for s in nodes:
             held = -s.steps % s.period  # steps left on the current rates
             values += s.r
             repeats.append(min(held, count))
@@ -137,20 +129,23 @@ class _ModularClock:
                 epochs = (count - held - 1) // s.period + 1
                 values += s._take(k * epochs)
                 repeats += [s.period] * (epochs - 1) + [count - held - (epochs - 1) * s.period]
-        if rows:
-            clocked = [nodes[i] for i in rows]
-            rates = np.repeat(np.array(values, dtype=np.int32).reshape(-1, k), repeats, axis=0)
-            rates = rates.reshape(len(rows), count, k)
-            last = rates[:, -1].tolist()
-            rates[:, 0] += [s.j for s in clocked]
-            clocks = np.cumsum(rates, axis=1, dtype=np.int32)
-            np.remainder(clocks, np.array([s.modulus for s in clocked], dtype=np.int32)[:, None, None], out=clocks)
-            for s, r, j in zip(clocked, last, clocks[:, -1].tolist()):
-                s.r, s.j, s.steps = r, j, (s.steps + count) % s.period
-            if len(rows) == len(nodes):  # no select rows: gather the whole table, with no row copies
-                return _lookup(table, clocks)
-            out[rows] = _lookup(table[rows], clocks)
-        return out
+        rates = np.repeat(np.array(values, dtype=np.int32).reshape(-1, k), repeats, axis=0)
+        rates = rates.reshape(len(nodes), count, k)
+        last = rates[:, -1].tolist()
+        rates[:, 0] += [s.j for s in nodes]
+        clocks = np.cumsum(rates, axis=1, dtype=np.int32)
+        moduli = np.array([s.modulus for s in nodes], dtype=np.int32)
+        np.remainder(clocks, moduli[:, None, None], out=clocks)
+        tied = np.flatnonzero([k == 2 and s.lists[0] == s.lists[1] for s in nodes])
+        if tied.size:
+            c1, c2, m, nudges = clocks[tied, :, 0], clocks[tied, :, 1], moduli[tied], 0
+            for t in range(count):
+                nudges += (c2[:, t] + nudges) % m == c1[:, t]
+                c2[:, t] = (c2[:, t] + nudges) % m
+            clocks[tied, :, 1] = c2
+        for s, r, j in zip(nodes, last, clocks[:, -1].tolist()):
+            s.r, s.j, s.steps = r, j, (s.steps + count) % s.period
+        return _lookup(table, clocks)
 
 
 class MdmcaStrategy(_ModularClock):
@@ -159,18 +154,19 @@ class MdmcaStrategy(_ModularClock):
     Both clocks run modulo the available-set size m, and their rates are
     redrawn uniformly from [0, m) every m slots, which also unsticks a rate of
     0. Clock 1 reads the prime list in the first half-slot, clock 2 the
-    non-prime list in the second; an empty list reads the full set, and the
-    second clock is nudged once past a collision.
+    non-prime list in the second. When either list is empty, both clocks read
+    the full set (the other list already is the full set), and the second
+    clock is nudged once past a collision.
     """
 
     kind = "mdmca"
 
     def __init__(self, channels, rng: np.random.Generator):
         cu = _available(channels)
-        super().__init__(cu, tuple(tuple(s) for s in partition_prime(cu)), len(cu), len(cu), rng)
+        super().__init__(cu, tuple(tuple(s) or cu for s in partition_prime(cu)), len(cu), len(cu), rng)
 
 
-class MrcsStrategy:
+class MrcsStrategy(_Strategy):
     """Uniform random pick from the available set, independent per half-slot."""
 
     kind = "mrcs"
@@ -179,9 +175,6 @@ class MrcsStrategy:
         self.cu = _available(channels)
         self.lists, self.modulus = (self.cu,), len(self.cu)
         self._rng = rng
-
-    def select(self, half: int) -> int:
-        return self.cu[int(self._rng.integers(len(self.cu)))]
 
     @staticmethod
     def block(nodes: list[MrcsStrategy], table: np.ndarray, slots: int) -> np.ndarray:

@@ -27,12 +27,14 @@ i<j and builds an n x n adjacency only for attempts with no isolated node;
 gets the full (n, n) distance matrix from `unit_disk_adjacency`, and batches
 are sized in n^2 cells by `FIRST_BATCH`, `MAX_BATCH` and `MAX_CELLS`.
 
-Modular clocks: `crhop.protocols` serves mdmca's and mmca's stream values
-from a list refilled CHUNK values at a time; `clock_reads` reads a node's
-stream as it was read before, one value per `integers(bound)` in `select`
-and one `integers(bound, size=k)` per block, and returns the values. Both
-protocols step through one `select` on their shared clock base;
-`modular_clock_trace` is the two per-class rules it replaced, as plain loops.
+Hops: every `crhop.protocols` strategy class has one hop rule, its population
+`block`, and one `select` read from it. `modular_clock_trace` is the per-class
+rules as plain loops, one half-slot at a time and one `integers(bound)` per
+value read: mdmca's prime / non-prime halves with the collision nudge, mmca's
+one clock read at j mod m, and mrcs's uniform pick. mdmca and mmca serve their
+stream values from a list refilled CHUNK values at a time; `clock_reads` reads
+a node's stream as it was read before, one `integers(bound, size=k)` per
+block, and returns the values.
 
 Schedules: `crhop.engine._schedule` derives a block's schedule in numpy;
 `schedule` builds the same arrays in a plain loop over half-slots, channels
@@ -209,18 +211,21 @@ def generate_topology(node_count, area, radio_range, rng, max_attempts):
 
 
 def modular_clock_trace(kind: str, cu, rng, halves: int) -> list[int]:
-    """The channels of a fresh mdmca or mmca (memca) node on channel set `cu`
-    over its first `halves` half-slots, reading one `rng.integers(bound)` per
-    value: first its clocks, then its rates at every epoch it enters.
+    """The channels of a fresh node of `kind` on channel set `cu` over its
+    first `halves` half-slots, reading one `rng.integers(bound)` per value.
 
-    mdmca: clocks j1 and j2 modulo m, the prime list in the first half-slot
-    and the non-prime list in the second, each read at j mod its length, the
-    full set for an empty list; a second channel equal to the first nudges
-    j2 once. A rate pair every m slots. mmca: one clock modulo the least
-    prime p >= m, read at j if j < m else j mod m; a rate every 2p half-slots.
+    mrcs: one pick cu[integers(m)] per half-slot. mdmca and mmca (memca) read
+    first their clocks, then their rates at every epoch they enter. mdmca:
+    clocks j1 and j2 modulo m, the prime list in the first half-slot and the
+    non-prime list in the second, each read at j mod its length, the full set
+    for an empty list; a second channel equal to the first nudges j2 once. A
+    rate pair every m slots. mmca: one clock modulo the least prime p >= m,
+    read at j if j < m else j mod m; a rate every 2p half-slots.
     """
     cu = sorted(cu)
     m = len(cu)
+    if kind == "mrcs":
+        return [cu[int(rng.integers(m))] for _ in range(halves)]
     out = []
     if kind == "mdmca":
         mp = [c for c in cu if is_prime(c)]
@@ -258,29 +263,25 @@ def clock_reads(kind: str, cu, rng, steps) -> list[int]:
     """The values an mdmca or mmca (memca) node on channel set `cu` reads from
     `rng` over `steps` of (as_block, slots): its first clocks, then its rates
     at every epoch it enters, an mdmca pair every m slots or an mmca rate every
-    2p half-slots. `select` reads one integers(bound) per value; a block reads
-    one integers(bound, size=(k, values per epoch)) for its k epochs, except
-    for an mdmca node with an empty prime or non-prime list, which steps
-    `select` in its blocks too."""
+    2p half-slots. A block reads one integers(bound, size=(e, values per
+    epoch)) for the e epochs it enters; `select` is a one-slot block, so a
+    step of `slots` selects reads slot by slot."""
     cu = sorted(cu)
     m = len(cu)
     if kind == "mdmca":
         bound, per, period, units = m, 2, m, 1  # a pair per epoch of m slots
-        batched = any(is_prime(c) for c in cu) and not all(is_prime(c) for c in cu)
     else:
         bound = next(p for p in range(max(m, 2), 2 * m + 3) if is_prime(p))
-        per, period, units, batched = 1, 2 * bound, 2, True  # a rate per epoch of 2p half-slots
+        per, period, units = 1, 2 * bound, 2  # a rate per epoch of 2p half-slots
     values = [int(rng.integers(bound)) for _ in range(per)]
     clock = 0  # steps into the current epoch
     for as_block, slots in steps:
-        count = units * slots
-        entered = sum((clock + u) % period == 0 for u in range(count))
-        if as_block and batched:
+        for block in [slots] if as_block else [1] * slots:
+            count = units * block
+            entered = sum((clock + u) % period == 0 for u in range(count))
             if entered:
                 values += rng.integers(bound, size=(entered, per)).ravel().tolist()
-        else:
-            values += [int(rng.integers(bound)) for _ in range(entered * per)]
-        clock = (clock + count) % period
+            clock = (clock + count) % period
     return values
 
 

@@ -22,7 +22,7 @@ from crhop.metrics import compare, per_run_attr_slots
 from reference import ids
 from test_protocols import FakeRng, dual_clock_reference_trace
 
-from crhop.protocols import MdmcaStrategy
+from crhop.protocols import MdmcaStrategy, channel_table
 
 CH4 = ActivityRates(0.22, 1.44)
 
@@ -71,16 +71,20 @@ def test_criterion_2_occupancy_process_law():
 # criterion 3 -----------------------------------------------------------------
 
 def test_criterion_3_dual_clock_trace_conformance():
+    # Each (cu, j1, j2) is one population, a node per rate pair (r1, r2),
+    # stepped as one 3-slot hop block: the engine's only hop rule.
     start = time.monotonic()
     configs = 0
     for m in range(1, 7):
+        pairs = list(itertools.product(range(m), repeat=2))
         for cu in itertools.combinations(range(1, 11), m):
-            for j1, j2, r1, r2 in itertools.product(range(m), repeat=4):
-                strat = MdmcaStrategy(cu, FakeRng([j1, j2], cycle=[r1, r2]))
-                got = [(strat.select(1), strat.select(2)) for _ in range(3)]
-                want = dual_clock_reference_trace(cu, j1, j2, r1, r2, 3)
-                assert got == want, (cu, j1, j2, r1, r2, got, want)
-                configs += 1
+            for j1, j2 in pairs:
+                nodes = [MdmcaStrategy(cu, FakeRng([j1, j2], cycle=[r1, r2])) for r1, r2 in pairs]
+                rows = MdmcaStrategy.block(nodes, channel_table(nodes), 3).tolist()
+                for (r1, r2), got in zip(pairs, rows):
+                    want = [c for pair in dual_clock_reference_trace(cu, j1, j2, r1, r2, 3) for c in pair]
+                    assert got == want, (cu, j1, j2, r1, r2, got, want)
+                    configs += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     report(f"criterion 3 PASS: {configs} clock configurations, zero trace "

@@ -232,12 +232,19 @@ def test_sweep_line_counts_infeasible_cells(tmp_path, capsys):
     pytest.param(["run", "--rates", "{path}"], "[[0.0, 0.0]]", id="rates-degenerate"),
     pytest.param(["run", "--rates", "{path}"], "[[1e308, 1e308]]", id="rates-overflowing"),
     pytest.param(["run", "--rates", "{path}"], "[[1e6, 1e6]]", id="rates-past-the-bound"),
+    pytest.param(["run", "--rates", "{path}"], '["12", "34"]', id="rates-rows-as-strings"),
+    pytest.param(["run", "--rates", "{path}"], '[["1", "2"]]', id="rates-string-entries"),
+    pytest.param(["run", "--rates", "{path}"], "[[true, 1]]", id="rates-boolean-entry"),
+    pytest.param(["run", "--rates", "{path}"], '{"12": 1}', id="rates-object"),
+    pytest.param(["run", "--rates", "{path}"], "[[1" + "0" * 400 + ", 1]]", id="rates-integer-past-float"),
+    pytest.param(["run", "--rates", "{path}"], "[" * 100_000, id="rates-nested-past-the-recursion-limit"),
     pytest.param(["run", "--positions", "{path}"], None, id="positions-missing"),
     pytest.param(["run", "--positions", "{path}"], "0 a 1\n", id="positions-malformed"),
     pytest.param(["sweep", "--config", "{path}"], None, id="config-missing"),
     pytest.param(["check-table1", "--rates", "{path}"], None, id="table1-rates-missing"),
     pytest.param(["check-table1", "--rates", "{path}"], "[[1e308, 1e308]]", id="table1-rates-overflowing"),
     pytest.param(["check-table1", "--rates", "{path}"], "[[1e6, 1e6]]", id="table1-rates-past-the-bound"),
+    pytest.param(["check-table1", "--rates", "{path}"], '["12", "34"]', id="table1-rates-rows-as-strings"),
 ])
 def test_bad_input_file_exits_2(argv, content, tmp_path, capsys):
     path = tmp_path / "input"
