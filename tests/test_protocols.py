@@ -175,12 +175,10 @@ class TestMrcs:
     def test_uniform_frequencies(self):
         strat = MrcsStrategy(range(1, 11), np.random.default_rng(123))
         draws = 100_000
-        counts = {c: 0 for c in range(1, 11)}
-        for i in range(draws):
-            counts[strat.select(1 + i % 2)] += 1
-        chi2 = sum((n - draws / 10) ** 2 / (draws / 10) for n in counts.values())
+        counts = np.bincount(MrcsStrategy.block([strat], channel_table([strat]), draws // 2)[0], minlength=11)[1:]
+        chi2 = sum((n - draws / 10) ** 2 / (draws / 10) for n in counts)
         assert chi2 < 27.88  # chi-square 99.9% quantile, 9 degrees of freedom
-        for n in counts.values():
+        for n in counts:
             assert abs(n / draws - 0.1) <= 0.01
 
     def test_deterministic_sequence(self):
@@ -232,13 +230,10 @@ class TestMmca:
             sa, sb = trial_seq.spawn(2)
             a = MmcaStrategy(range(1, 6), np.random.default_rng(sa))
             b = MmcaStrategy(range(1, 6), np.random.default_rng(sb))
-            for step in range(1, 31):
-                half = 1 + (step - 1) % 2
-                if a.select(half) == b.select(half):
-                    if step <= 10:
-                        meet_2p += 1
-                    meet_6p += 1
-                    break
+            rows = MmcaStrategy.block([a, b], channel_table([a, b]), 15)  # 30 half-slots
+            met = np.flatnonzero(rows[0] == rows[1])
+            meet_2p += met.size > 0 and met[0] < 10
+            meet_6p += met.size > 0
         assert abs(meet_2p / trials - 0.84) <= 0.04
         assert meet_6p / trials >= 0.985
 
