@@ -20,8 +20,9 @@ of the child from getrusage, which leaves out any time it waits for a core.
 
 Pairs alternate which checkout runs first; ten pairs is the fewest that can
 show a gain as better in nine of ten. The file holds every run and, per
-checkout, the median of each figure over the pairs, the commit and the line
-count of src/crhop/*.py. CRHOP_WORKERS is removed from every child's
+checkout, the median of each figure over the pairs, the commit, the line
+count of src/crhop/*.py and a SHA-256 over perfbench/**/*.py and
+BENCHMARK.json, which shows whether both checkouts ran the same benchmark. CRHOP_WORKERS is removed from every child's
 environment, so everything runs serially. A pair takes five to six minutes
 on two cores, so the whole record takes about an hour.
 """
@@ -128,13 +129,17 @@ def medians(runs: list[dict]) -> dict:
 
 
 def revision(checkout: Path) -> dict:
-    """Commit of a checkout, whether its tracked files differ from it, and the
-    line count of its src/crhop/*.py (ROADMAP aim 2)."""
+    """Commit of a checkout, whether its tracked files differ from it, the line
+    count of its src/crhop/*.py (ROADMAP aim 2) and the SHA-256 of its
+    benchmark: each perfbench/**/*.py and BENCHMARK.json by path, in path order."""
     def git(*argv):
         return subprocess.run(["git", *argv], cwd=checkout, capture_output=True, text=True).stdout.strip()
     src_lines = sum(len(path.read_bytes().splitlines()) for path in (checkout / "src" / "crhop").glob("*.py"))
+    benchmark = hashlib.sha256()
+    for path in sorted([*(checkout / "perfbench").rglob("*.py"), checkout / "BENCHMARK.json"]):
+        benchmark.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
     return {"commit": git("rev-parse", "HEAD"), "modified": bool(git("status", "--porcelain", "--untracked-files=no")),
-            "src_lines": src_lines}
+            "src_lines": src_lines, "benchmark_sha256": benchmark.hexdigest()}
 
 
 def main(argv=None) -> int:

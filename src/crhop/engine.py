@@ -29,9 +29,9 @@ last node completes. Any other idle node is a cluster of one, whose lone
 D-REQ, if it is incomplete, is counted from the schedule's lone matrix.
 
 Neighbor tables, tuned sets and clusters are id bitmasks (bit i is node i).
-The walk makes the default election inline, the draw-th set bit with no draw
-for one candidate, and settles each handshake with one run_handshake call; ids
-are listed only for an `election=` callable, a trace row or a silence check.
+The walk makes each election inline, the draw-th set bit with no draw for one
+candidate, and settles each handshake with one run_handshake call; ids are
+listed only for a trace row or a silence check.
 
 A run is deterministic given (scenario, seed): all randomness flows through
 labeled substreams of the run seed, and environment streams (topology,
@@ -63,8 +63,7 @@ Serving it cannot change a record: a record is a pure function of the
 environment and the behaviour key, since those fields are all the walk reads
 beyond the environment key. So memca at the default unbounded window, whose
 clock class, schedules and elections are mmca's, gets mmca's record computed
-once. A run given an election= callable or building its own environment
-neither reads nor stores one.
+once. A run building its own environment neither reads nor stores one.
 """
 
 from __future__ import annotations
@@ -348,19 +347,16 @@ def _ids(mask: int) -> list[int]:
     return ids
 
 
-def run(scenario: Scenario, seed, election=None, trace: bool = False,
+def run(scenario: Scenario, seed, *, trace: bool = False,
         environment: Environment | None = None) -> RunRecord:
     """Simulate one run to completion or the slot budget.
 
-    `election`, when given, replaces the uniform election stream: it is
-    called as election(tag, options) with tag "initiator" or "responder" and
-    a nonempty ascending id list, and must return one of the options.
     `trace` attaches the per-half-slot transcript to the returned record as
     rows of (slot, half, channel, kind, sender, receiver, pr_state).
     `environment`, when given, must come from build_environment for this
     scenario's environment key and this seed; without it the run builds its own.
-    Without an `election`, a run on a given environment returns the record an
-    earlier run of the same behaviour key left there (module docstring).
+    A run on a given environment returns the record an earlier run of the same
+    behaviour key left there (module docstring).
     """
     if environment is None:
         environment, memo = build_environment(scenario, seed), {}  # dropped after the run: nothing to keep
@@ -368,7 +364,7 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
         scenario.validate()
         if environment.key != scenario.environment_key() or environment.seed != seed:
             raise InvalidParameterError("the environment was built for another environment key or seed")
-        memo = environment.records if election is None else {}
+        memo = environment.records
     # The behaviour key: every field the walk reads that the environment key does not fix.
     window = scenario.emca_window if scenario.protocol == "memca" else math.inf
     behaviour = (STRATEGIES[scenario.protocol], scenario.handshake, scenario.max_slots,
@@ -376,10 +372,7 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
     if behaviour in memo:
         return memo[behaviour]
     n = scenario.nodes
-
-    if election is None:
-        draw = uniform_index(seeded_rng(environment.seeds[n]))
-
+    draw = uniform_index(seeded_rng(environment.seeds[n]))
     neighbor_masks = environment.topology.neighbor_masks
     tables = [NeighborTables(i) for i in range(n)]
     done = {0: 0} if n == 1 else {}  # complete node id -> its TTR in half-slots
@@ -433,13 +426,10 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
                             rows.append((slot, half, channel, D_REQ, i, None, OFF))
                     continue
                 # The draw-th candidate, ascending; one candidate draws nothing, as draw(1) reads nothing.
-                if election is None:
-                    if eligible & (eligible - 1):
-                        for _ in range(draw(eligible.bit_count())):
-                            eligible &= eligible - 1
-                    init = (eligible & -eligible).bit_length() - 1
-                else:
-                    init = election("initiator", _ids(eligible))
+                if eligible & (eligible - 1):
+                    for _ in range(draw(eligible.bit_count())):
+                        eligible &= eligible - 1
+                init = (eligible & -eligible).bit_length() - 1
                 in_range = cluster & neighbor_masks[init]
                 # Responder preference: peers never heard of, then direct links still
                 # awaiting confirmation, then peers known only indirectly, then confirmed
@@ -453,13 +443,10 @@ def run(scenario: Scenario, seed, election=None, trace: bool = False,
                     or in_range & inl
                     or in_range & confirmed
                 )
-                if election is None:
-                    if tier & (tier - 1):
-                        for _ in range(draw(tier.bit_count())):
-                            tier &= tier - 1
-                    responder = (tier & -tier).bit_length() - 1
-                else:
-                    responder = election("responder", _ids(tier))
+                if tier & (tier - 1):
+                    for _ in range(draw(tier.bit_count())):
+                        tier &= tier - 1
+                responder = (tier & -tier).bit_length() - 1
                 theirs = tables[responder]
                 messages = run_handshake(kind, mine, theirs, share)
                 packets += len(messages)

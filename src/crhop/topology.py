@@ -44,18 +44,14 @@ class Topology:
     """Node positions plus the symmetric unit-disk adjacency they induce.
 
     Two distinct nodes are neighbors iff their Euclidean distance is at most
-    `radio_range`. Instances are only built through `generate_topology` or
-    `from_positions`, both of which enforce connectivity. Runs read neighbours
-    as `neighbor_masks[i]`, node i's as an id mask (bit j is node j), and as
-    `peers[r]`, each node's r-th neighbour by id, or n past its degree.
+    the radio range. Built from (n, 2) points and their (n, n) adjacency;
+    `generate_topology` and `from_positions` build only connected ones. Runs
+    read neighbours as `neighbor_masks[i]`, node i's as an id mask (bit j is
+    node j), and as `peers[r]`, each node's r-th neighbour by id, or n past
+    its degree.
     """
 
-    def __init__(self, positions: list[tuple[float, float]], radio_range: float):
-        points = np.array(positions, dtype=float).reshape(len(positions), 2)
-        self._index(points, np.take(unit_disk_links(points[None], float(radio_range)), pair_tables(len(points))[2]))
-
-    def _index(self, points: np.ndarray, adjacency: np.ndarray) -> Topology:
-        """Fill in the topology of `points` from their unit-disk `adjacency`."""
+    def __init__(self, points: np.ndarray, adjacency: np.ndarray):
         self.positions = tuple(map(tuple, points.tolist()))
         self.adjacency = adjacency
         rows = np.packbits(self.adjacency, axis=1, bitorder="little")
@@ -63,7 +59,6 @@ class Topology:
         ranked = np.sort(np.where(self.adjacency, np.arange(len(points)), len(points)), axis=1)
         self.peers = ranked[:, :self.adjacency.sum(axis=1).max(initial=0)].T.copy()
         self.peers.setflags(write=False)  # every run on the topology reads it
-        return self
 
     @property
     def node_count(self) -> int:
@@ -103,7 +98,7 @@ def generate_topology(
         candidates = np.flatnonzero(np.take(links, others, axis=0).any(0).all(0) | (node_count == 1))
         adjacency = np.take(np.take(links, candidates, axis=1).T, cells, axis=1)
         if (hits := np.flatnonzero(connected(adjacency))).size:
-            return Topology.__new__(Topology)._index(points[candidates[hits[0]]], adjacency[hits[0]])
+            return Topology(points[candidates[hits[0]]], adjacency[hits[0]])
         drawn += size
     raise GenerationFailureError(
         f"no connected placement of {node_count} nodes in {width}x{height} "
@@ -113,10 +108,12 @@ def generate_topology(
 
 def from_positions(positions: list[tuple[float, float]], radio_range: float) -> Topology:
     """Topology from explicit positions; rejects disconnected placements."""
-    topo = Topology(positions, radio_range)
-    if not connected(topo.adjacency):
+    points = np.array(positions, dtype=float).reshape(len(positions), 2)
+    with np.errstate(over="ignore"):  # a gap past float range is past any finite range
+        adjacency = np.take(unit_disk_links(points[None], float(radio_range)), pair_tables(len(points))[2])
+    if not connected(adjacency):
         raise InvalidParameterError("imported positions do not form a connected graph")
-    return topo
+    return Topology(points, adjacency)
 
 
 def load_positions(path: str) -> list[tuple[float, float]]:

@@ -205,7 +205,7 @@ def generate_topology(node_count, area, radio_range, rng, max_attempts):
         candidates = np.flatnonzero(adjacency.any(-1).all(-1) | (node_count == 1))
         hits = candidates[connected(adjacency[candidates])]
         if hits.size:
-            return Topology.__new__(Topology)._index(points[hits[0]], adjacency[hits[0]])
+            return Topology(points[hits[0]], adjacency[hits[0]])
         drawn += size
     raise GenerationFailureError(f"no connected placement within {max_attempts} attempts")
 

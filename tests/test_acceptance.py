@@ -160,14 +160,17 @@ class ChainModel:
             if peer != i and peer not in self.dnl[i]:
                 self.inl[i].add(peer)
 
-    def run(self, chooser):
+    def run(self, draw):
+        def pick(options):  # as the engine elects: no draw for one option
+            return options[draw(len(options))] if len(options) > 1 else options[0]
+
         half_slot = 0
         for slot in range(1, CHAIN_CAP_SLOTS + 1):
             for half in (1, 2):
                 half_slot = 2 * slot - (1 if half == 1 else 0)
                 eligible = [i for i in range(3)
                             if not self.complete[i] or (self.dnl[i] - self.confirmed[i])]
-                initiator = chooser("initiator", eligible)
+                initiator = pick(eligible)
                 in_range = [p for p in CHAIN_ADJACENCY[initiator]]
                 know = self.knowledge(initiator)
                 tiers = (
@@ -176,7 +179,7 @@ class ChainModel:
                     [p for p in in_range if p in self.inl[initiator]],
                     [p for p in in_range if p in self.confirmed[initiator]],
                 )
-                responder = chooser("responder", next(t for t in tiers if t))
+                responder = pick(next(t for t in tiers if t))
                 a, b = initiator, responder
                 self.absorb(b, a, self.shared_tables(a))
                 self.absorb(a, b, self.shared_tables(b))
@@ -208,7 +211,7 @@ def chain_scenario():
 
 def engine_outcome(script):
     election = ScriptedElection(script)
-    record = run(chain_scenario(), 0, election=election)
+    record = election.run(chain_scenario(), 0)
     outcome = (record.ttr_half_slots, record.censored, record.packets, record.rendezvous)
     return outcome, election.log, election.probability
 
@@ -225,14 +228,14 @@ def enumerate_tree(runner):
 
     def explore(prefix):
         outcome, log, probability = runner(prefix)
-        key = tuple(entry[2] for entry in log)
+        key = tuple(entry[1] for entry in log)
         assert key not in results
         results[key] = (outcome, probability)
         for depth in range(len(prefix), len(log)):
-            _tag, options, picked = log[depth]
+            k, picked = log[depth]
             assert picked == 0
-            taken = [entry[2] for entry in log[:depth]]
-            for alternative in range(1, len(options)):
+            taken = [entry[1] for entry in log[:depth]]
+            for alternative in range(1, k):
                 explore(taken + [alternative])
 
     explore([])

@@ -1,19 +1,25 @@
 """Command-line interface smoke tests."""
 
+import contextlib
 import csv
 import hashlib
 import importlib.util
 import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crhop import experiment
 from crhop.activity import RATE_TABLE
 from crhop.cli import _one_cell_config, build_parser, main
 from crhop.engine import MAX_CHANNELS, MAX_NODES, Scenario
-from crhop.experiment import SweepConfig, cells, run_group, run_sweep
+from crhop.experiment import AXES, CONFIG_KEYS, SweepConfig, cells, run_group, run_sweep
+from crhop.protocols import STRATEGY_KINDS
 
 
 def test_check_table1_exit_code(capsys):
@@ -268,6 +274,22 @@ def test_non_finite_position_exits_2_naming_its_line(line, tmp_path, capsys):
     assert err.startswith(f"error: {path}:2: ") and "Warning" not in err
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("0 0 0\n1 1e200 0\n", id="square-past-float-range"),
+    pytest.param("0 -1e308 0\n1 1e308 0\n", id="gap-past-float-range"),
+])
+def test_positions_a_float_overflow_apart_exit_2_without_a_warning(text, tmp_path, capsys):
+    # found by test_any_call_exits_with_a_code_and_no_traceback_or_warning: the
+    # gap, or its square, overflowed with a numpy RuntimeWarning
+    path = tmp_path / "positions.txt"
+    path.write_text(text)
+    argv = ["run", "--nodes", "2", "--positions", str(path), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "error: imported positions do not form a connected graph\n"
+
+
 def test_invalid_arguments_return_error(capsys, tmp_path):
     # m out of range, m missing, and an m that is not a similarity ratio
     for m_flags in (["--m", "40"], [], ["--m", "sym"]):
@@ -421,3 +443,110 @@ def test_trace_replaces_an_existing_file_and_leaves_nothing_beside_it(tmp_path, 
     assert main(["trace", "--nodes", "2", "--max-slots", "5", "--out", str(out)]) == 0
     assert out.read_text().startswith("slot,half,channel,kind,sender,receiver,pr\n")
     assert list(tmp_path.iterdir()) == [out]
+
+
+# Bad input, drawn: every run/trace scenario flag and every configuration key,
+# each with valid values that keep a call tiny (at most 4 nodes, 50 slots and 2
+# runs) and odd ones. A call must end in an exit code, never a traceback or a warning.
+RATES_TEXTS = ((json.dumps(RATE_TABLE), json.dumps([[9.0, 0.1], *RATE_TABLE[1:]]), "[[1.0, 1.0]]",
+                "[[0.5, 2.0], [3.0, 0.25]]"),
+               ("[]", "[[1]]", "[[NaN, 1.0]]", "[[0.0, 0.0]]", "[[1e6, 1e6]]", '{"1": 2}', "", None))  # None: no file
+COORDINATES = (("0", "40", "80", "-40"), ("500", "-1e308", "1e308", "1e200"))  # odd: apart, or past float range
+POSITIONS_TEXTS = ("0 0 0\n2 5 5\n", "0 0 0\n0 5 5\n", "0 a 1\n", "0 0 0 0\n", "0 nan 0\n", "", None)
+FLAG_VALUES = {  # run/trace flag -> (valid values, odd values)
+    "--protocol": (STRATEGY_KINDS, ("MDMCA",)),
+    "--handshake": (("2wh", "3wh"), ("4wh",)),
+    "--nodes": (("1", "2", "4"), ("0", "-1", "x", "2,3", "", "1e3", str(MAX_NODES + 1))),
+    "--channels": (("1", "3", "10"), ("0", "-2", "x", "", str(MAX_CHANNELS + 1))),
+    "--mode": (("sym", "asym"), ("both",)),
+    "--m": (("1", "2"), ("0", "-1", "40", "sym", "x", "")),
+    "--k": (("1", "3", "none"), ("", "0", "40", "x")),
+    "--activity": (("zero", "low", "long", "high", "mix"), ("none",)),
+    "--max-slots": (("1", "50"), ("0", "-1", "x", "")),
+    "--area": (("400x400", "50x50", "1e150x1e150", "1000x1000"),
+               ("400", "0x400", "nanx1", "infx1", "1e308x1e308", "x", "")),
+    "--range": (("100", "1", "1e-300", "1e308", "inf"), ("0", "-1", "nan", "x", "")),
+    "--completion-mode": (("active", "responder-only", "silent"), ("never",)),
+    "--emca-window": (("2", "inf", "", "1e400"), ("0", "-1", "nan", "x")),
+    "--seed": (("0", "7", str(2**64), "-1"), ("x", "")),
+    "--runs": (("1", "2"), ("0", "x")),
+    "--run-index": (("0", "1"), ("-1", "x")),
+}
+CONFIG_VALUES = {  # configuration key -> (valid values, odd values)
+    "protocols": (("mdmca", "mmca, memca", "mrcs,,mdmca"), ("", "foo")),
+    "handshakes": (("3wh", "2wh, 3wh"), ("", "x")),
+    "nodes": (("1", "2, 4", "4,3"), ("0", "x", "", str(MAX_NODES + 1))),
+    "channels": (("1", "3, 10"), ("0", "x", "")),
+    "modes": (("sym", "2", "sym, 1"), ("0", "-1", "x", "")),
+    "activities": (("zero", "high, mix"), ("", "x")),
+    "runs": (("1", "2"), ("0", "-1", "x", "")),
+    "base_seed": (("1", str(2**64), "-1"), ("x", "")),
+    "max_slots": (("1", "50"), ("0", "x", "")),
+    "per_node_size": (("none", "", "1", "3"), ("0", "40", "x")),
+    "area": (("400x400", "1000x1000"), ("0x400", "infx1", "x", "")),
+    "radio_range": (("100", "1", "inf"), ("0", "nan", "x", "")),
+    "completion_mode": (("silent", "active"), ("never", "")),
+    "emca_window": (("2", "inf", ""), ("0", "nan", "x")),
+    "share_unconfirmed_links": (("true", "off"), ("maybe", "")),
+    "rates_file": (("{dir}/rates.json",), ()),
+}
+SIZING = {"--max-slots", "--runs", "nodes", "runs", "max_slots", *AXES}  # in every call: unset, they are large
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, files) of one drawn call: its argument list, naming files as
+    {dir}/name, and each file's text (None: no such file)."""
+    def pick(values):  # valid nine times in ten, so that some calls pass every check
+        valid, odd = values
+        return draw(st.sampled_from(odd if odd and draw(st.integers(0, 9)) == 0 else valid))
+
+    command = draw(st.sampled_from(["run", "trace", "sweep", "check-table1"]))
+    argv, files = [command], {}
+    if command in ("run", "sweep") or command == "trace" and draw(st.booleans()):  # else trace writes to stdout
+        argv += ["--out", "{dir}/out"]
+    if draw(st.booleans()):
+        files["rates.json"] = pick(RATES_TEXTS)
+    if command == "check-table1":
+        return argv + (["--rates", "{dir}/rates.json"] if files else []), files
+    if command == "sweep":
+        lines = [f"{key} = {pick(values)}" for key, values in CONFIG_VALUES.items()
+                 if key in SIZING or draw(st.booleans())]
+        lines += draw(st.lists(st.sampled_from(["unknown = 1", "no equals sign", "= 3", "# note"]), max_size=2))
+        files["grid.cfg"] = "\n".join(draw(st.permutations(lines))) + "\n"
+        return argv + ["--config", "{dir}/grid.cfg"], files
+    for flag, values in FLAG_VALUES.items():
+        if flag != ("--run-index" if command == "run" else "--runs") and (flag in SIZING or draw(st.booleans())):
+            argv += [flag, pick(values)]
+    argv += ["--share-unconfirmed"] if draw(st.booleans()) else []
+    argv += ["--rates", "{dir}/rates.json"] if files else []
+    if draw(st.booleans()):  # one line per node, in any order, or an odd file
+        nodes = argv[argv.index("--nodes") + 1] if "--nodes" in argv else "3"
+        lines = [f"{i} {pick(COORDINATES)} {pick(COORDINATES)}" for i in range(min(int(nodes), 4))
+                 ] if nodes.isdigit() else []
+        files["positions.txt"] = pick((("\n".join(draw(st.permutations(lines))) + "\n",), POSITIONS_TEXTS))
+        argv += ["--positions", "{dir}/positions.txt"]
+    return argv, files
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_calls())
+def test_any_call_exits_with_a_code_and_no_traceback_or_warning(call):
+    assert CONFIG_VALUES.keys() == CONFIG_KEYS.keys()  # a new key joins the vocabulary
+    argv, files = call
+    with tempfile.TemporaryDirectory() as folder:
+        for name, text in files.items():
+            if text is not None:
+                Path(folder, name).write_text(text.replace("{dir}", folder))
+        argv = [a.replace("{dir}", folder) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses an argument list with exit 2
+                code = exc.code
+    assert code in ((0, 1, 2) if argv[0] == "check-table1" else (0, 2)), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]

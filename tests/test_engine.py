@@ -182,8 +182,7 @@ class TestChainPropagation:
         # slot 1: middle node handshakes both ends; slot 2: the remaining
         # incomplete end node completes off the middle node's tables even
         # though everyone it meets is already done
-        election = ScriptedElection([1, 0, 1, 0, 0, 0])
-        record = run(chain_scenario(), 123, election=election, trace=True)
+        record = ScriptedElection([1, 0, 1]).run(chain_scenario(), 123, trace=True)
         assert record.ttr_half_slots == (3, 2, 2)
         assert record.packets == 9
         assert record.rendezvous == 2  # pair (0,1) met twice, counted once
@@ -212,9 +211,7 @@ class TestResponderOnly:
         # half-slot 1: node 1 initiates toward node 0, leaving node 0 holding
         # the link unconfirmed; half-slot 2: node 0, elected again, points its
         # handshake back at node 1 even though nothing new can be learned
-        election = ScriptedElection([1, 0, 0, 0])
-        record = run(chain_scenario(handshake="2wh", max_slots=50), 4,
-                     election=election, trace=True)
+        record = ScriptedElection([1, 0]).run(chain_scenario(handshake="2wh", max_slots=50), 4, trace=True)
         reqs = [r for r in record.trace if r[3] == D_REQ and r[5] is not None]
         assert (reqs[0][4], reqs[0][5]) == (1, 0)
         assert (reqs[1][4], reqs[1][5]) == (0, 1)
@@ -225,8 +222,7 @@ class TestResponderOnly:
 
     def test_silent_mode_ends_participation(self):
         sc = chain_scenario(completion_mode="silent", max_slots=100)
-        election = ScriptedElection([1, 0, 1, 0])
-        record = run(sc, 5, election=election, trace=True)
+        record = ScriptedElection([1, 0, 1]).run(sc, 5, trace=True)
         done_at = {i: record.ttr_half_slots[i] for i in range(3) if not record.censored[i]}
         for slot, half, _ch, kind, sender, _receiver, _pr in record.trace:
             if kind == "TUNE" and sender in done_at:

@@ -15,7 +15,7 @@ from crhop.activity import ACTIVITY_CLASSES
 from crhop.engine import COMPLETION_MODES, Scenario, build_environment, run
 from crhop.handshake import D_REQ, HANDSHAKE_KINDS, HANDSHAKE_SIZES
 from crhop.protocols import STRATEGY_KINDS
-from crhop.seeding import seeded_rng, uniform_index
+from crhop.seeding import uniform_index
 from reference import ids
 
 
@@ -101,19 +101,27 @@ def test_neighbor_tables_keep_their_invariants(case):
 
 @settings(max_examples=40, deadline=None)
 @given(runs(max_nodes=70), st.booleans())
-def test_default_election_equals_a_uniform_pick_from_the_id_list(case, trace):
-    # The default election picks the draw-th set bit of a mask and skips the
-    # draw for one member; an election= callable gets every id list, one
-    # member included, and draw(1) reads nothing. Up to 70 nodes reaches
-    # clusters of three or more and masks past one machine word.
+def test_elections_draw_only_among_two_or_more_candidates(case, trace):
+    # The walk elects the draw-th set bit of a candidate mask and draws nothing
+    # for one candidate, which scripted elections rely on. A pass-through
+    # stream over the run's own election stream sees every draw and must leave
+    # the record as it was. Up to 70 nodes reaches clusters of three or more
+    # and masks past one machine word.
     scenario, seed = case
-    draw = uniform_index(seeded_rng(build_environment(scenario, seed).seeds[scenario.nodes]))
+    plain = run(scenario, seed, trace=trace)
+    sizes = []
 
-    def election(tag, options):
-        assert options == sorted(options)
-        return options[draw(len(options))]
+    def passing(rng):
+        draw = uniform_index(rng)
 
-    assert run(scenario, seed, election=election, trace=trace) == run(scenario, seed, trace=trace)
+        def counted(k):
+            sizes.append(k)
+            return draw(k)
+        return counted
+
+    with mock.patch.object(engine, "uniform_index", passing):
+        assert run(scenario, seed, trace=trace) == plain
+    assert all(k >= 2 for k in sizes)
 
 
 @settings(max_examples=40, deadline=None)

@@ -184,7 +184,6 @@ def test_a_group_runs_unbounded_window_memca_once_as_mmca(monkeypatch):
 
 @pytest.mark.parametrize("changes, options", [
     pytest.param({"protocol": "memca", "emca_window": 2}, {}, id="finite-window"),
-    pytest.param({}, {"election": lambda tag, options: options[-1]}, id="election"),
     pytest.param({}, {"trace": True}, id="traced"),
     pytest.param({"max_slots": FIRST_BLOCK_SLOTS + 9}, {}, id="shorter-budget"),
     pytest.param({"completion_mode": "active"}, {}, id="completion-mode"),

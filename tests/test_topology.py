@@ -11,6 +11,7 @@ import reference
 from crhop.errors import GenerationFailureError, InvalidParameterError
 from crhop.topology import (
     FIRST_BATCH, MAX_BATCH, MAX_CELLS, Topology, connected, from_positions, generate_topology, load_positions,
+    unit_disk_links,
 )
 
 
@@ -202,10 +203,11 @@ def test_unit_disk_boundary():
     # exactly at range is adjacent, one ulp beyond is not
     for far in [(100.0, 0.0), (60.0, 80.0)]:
         assert from_positions([(0.0, 0.0), far], 100.0).adjacency[0, 1]
-    beyond = Topology([(0.0, 0.0), (float(np.nextafter(100.0, 200.0)), 0.0)], 100.0)
-    assert not beyond.adjacency[0, 1] and not connected(beyond.adjacency)
-    with pytest.raises(InvalidParameterError):
-        from_positions([(0.0, 0.0), (101.0, 0.0)], 100.0)
+    beyond = [(0.0, 0.0), (float(np.nextafter(100.0, 200.0)), 0.0)]
+    assert not unit_disk_links(np.array([beyond]), 100.0)[0, 0]
+    for placement in (beyond, [(0.0, 0.0), (101.0, 0.0)]):
+        with pytest.raises(InvalidParameterError):
+            from_positions(placement, 100.0)
 
 
 def test_adjacency_is_symmetric_and_irreflexive():
@@ -237,7 +239,8 @@ def test_single_node_has_one_zero_mask_and_no_ranks():
 
 def test_isolated_node_ranks_no_node_at_every_rank():
     # Topology itself accepts a disconnected placement: node 2 hears nobody
-    topo = Topology([(0.0, 0.0), (50.0, 0.0), (500.0, 0.0), (0.0, 60.0)], 100.0)
+    points = np.array([(0.0, 0.0), (50.0, 0.0), (500.0, 0.0), (0.0, 60.0)])
+    topo = Topology(points, reference.unit_disk_adjacency(points, 100.0))
     assert topo.neighbor_masks[2] == 0
     assert len(topo.peers) == 2 and topo.peers[:, 2].tolist() == [4, 4]
     assert_neighbour_forms_match_adjacency(topo)
@@ -254,7 +257,7 @@ def test_neighbour_forms_past_two_machine_words_match_adjacency(seed):
 def test_generated_topology_equals_one_built_from_its_positions(n):
     # generate_topology indexes the accepted attempt's adjacency from its batch
     topo = generate_topology(n, (400.0, 400.0), 100.0, np.random.default_rng(3))
-    again = Topology(list(topo.positions), 100.0)
+    again = from_positions(list(topo.positions), 100.0)
     assert np.array_equal(topo.adjacency, again.adjacency)
     assert topo.neighbor_masks == again.neighbor_masks
     assert np.array_equal(topo.peers, again.peers)
