@@ -11,7 +11,7 @@ class ScriptedElection:
 
     Stands in for a run's draw(k), which the engine calls only for k >= 2
     candidates, taking the draw-th of them, ascending. Records every choice
-    point as (k, picked index) so a driver can enumerate the engine's decision
+    point as (k, picked index) so a caller can enumerate the engine's decision
     tree; once the script runs out, index 0 is taken. `probability` is the
     likelihood of the followed path under uniform elections.
     """
